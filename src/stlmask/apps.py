@@ -68,10 +68,22 @@ def _logit(p: float) -> float:
 
 def _ordered_bounds(alpha: Var, beta: Var) -> tuple[Var, Var]:
     sa, sb = tape.sigmoid(alpha), tape.sigmoid(beta)
-    both = tape.stack_last([sa, sb])
-    hi = tape.hard_max(both)
-    lo = tape.neg(tape.hard_max(tape.stack_last([tape.neg(sa), tape.neg(sb)])))
-    return lo, hi
+    # hard ties go to the first operand, so a == b routes both gradients to alpha
+    return tape.pair_smooth_min(sa, sb, Hard()), tape.pair_smooth_max(sa, sb, Hard())
+
+
+def _checked_bounds(alpha: Var, beta: Var, step: int) -> tuple[Var, Var]:
+    """Ordered bounds of one descent step; raises once they leave 0 <= a < b <= 1.
+
+    The sigmoid saturates in float64 and equal parameters give equal bounds,
+    so the window can close even though the reparameterization is meant to
+    keep it open.
+    """
+    a, b = _ordered_bounds(alpha, beta)
+    lo, hi = float(a.data), float(b.data)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise DivergedError(f"interval bounds left 0 <= a < b <= 1 at step {step}: a={lo!r}, b={hi!r}")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +145,8 @@ def planning_formula(cfg: PlannerConfig, si: SmoothInterval) -> Formula:
     return And(Always(box_formula(cfg.target_box), si), Eventually(box_formula(cfg.goal_box)))
 
 
-def _planning_terms(u: Var, alpha: Var, beta: Var, cfg: PlannerConfig,
-                    temp: float, sharp: float):
+def _planning_terms(u: Var, a: Var, b: Var, cfg: PlannerConfig, temp: float, sharp: float):
     length = cfg.horizon + 1
-    a, b = _ordered_bounds(alpha, beta)
     ux, uy = tape.index_last(u, 0), tape.index_last(u, 1)
     px = tape.concat_last([Var(np.array([cfg.start[0]])), tape.cumsum0(ux) * cfg.dt + cfg.start[0]])
     py = tape.concat_last([Var(np.array([cfg.start[1]])), tape.cumsum0(uy) * cfg.dt + cfg.start[1]])
@@ -154,7 +164,7 @@ def _planning_terms(u: Var, alpha: Var, beta: Var, cfg: PlannerConfig,
     j_lim = tape.vsum(tape.relu(norms - cfg.control_limit)) * (1.0 / cfg.horizon)
     j_eff = tape.vsum(sumsq) * (1.0 / cfg.horizon)
     total = j_stl * cfg.gamma1 + j_int * cfg.gamma2 + j_lim * cfg.gamma3 + j_eff * cfg.gamma4
-    return total, a, b, rho
+    return total
 
 
 def planning_objective(controls, a_raw: float, b_raw: float, cfg: PlannerConfig,
@@ -168,7 +178,8 @@ def planning_objective(controls, a_raw: float, b_raw: float, cfg: PlannerConfig,
         raise ValueError(f"controls must have shape ({cfg.horizon}, 2), got {u.data.shape}")
     temp = cfg.temp_anneal[2] if temp is None else temp
     sharp = cfg.sharp_anneal[2] if sharp is None else sharp
-    total, _, _, _ = _planning_terms(u, Var(float(a_raw)), Var(float(b_raw)), cfg, temp, sharp)
+    a, b = _ordered_bounds(Var(float(a_raw)), Var(float(b_raw)))
+    total = _planning_terms(u, a, b, cfg, temp, sharp)
     return float(total.data)
 
 
@@ -196,12 +207,11 @@ def plan_trajectory(cfg: PlannerConfig = PlannerConfig(), seed: int = 0) -> dict
         tau = temp_sched.value(step)
         sharp = sharp_sched.value(step)
         uv, av, bv = Var(u), Var(alpha), Var(beta)
-        total, a_var, b_var, _ = _planning_terms(uv, av, bv, cfg, tau, sharp)
+        a_var, b_var = _checked_bounds(av, bv, step)
+        total = _planning_terms(uv, a_var, b_var, cfg, tau, sharp)
         value = float(total.data)
         if not math.isfinite(value):
             raise DivergedError(f"planning objective became {value} at step {step}")
-        assert 0.0 <= float(a_var.data) < float(b_var.data) <= 1.0, \
-            "interval reparameterization escaped 0 <= a < b <= 1"
         history.append(value)
         tape.backward(total)
         u = u - cfg.lr * uv.grad
@@ -305,13 +315,11 @@ def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
     for step in range(cfg.steps):
         sem = SemanticsConfig(mode=LogSumExp(temp_sched.value(step)))
         av, bv = Var(alpha), Var(beta)
-        a_var, b_var = _ordered_bounds(av, bv)
+        a_var, b_var = _checked_bounds(av, bv, step)
         loss = _mining_loss_var(a_var, b_var, sharp_sched.value(step), data, cfg.gamma, sem, cfg.eps)
         value = float(loss.data)
         if not math.isfinite(value):
             raise DivergedError(f"mining loss became {value} at step {step}")
-        assert 0.0 <= float(a_var.data) < float(b_var.data) <= 1.0, \
-            "interval reparameterization escaped 0 <= a < b <= 1"
         history.append(value)
         tape.backward(loss)
         alpha = alpha - cfg.lr * float(av.grad)

@@ -151,7 +151,10 @@ def apply_config(mapping: Mapping[str, str], spec: Mapping[str, type], where: st
         if kind is float:
             out[key] = _parse_float(raw, f"{where}.{key}")
         elif kind is int:
-            out[key] = int(_parse_float(raw, f"{where}.{key}"))
+            value = _parse_float(raw, f"{where}.{key}")
+            if not value.is_integer():
+                raise ConfigError(f"{where}.{key}: expected an integer, got {raw!r}")
+            out[key] = int(value)
         elif kind is tuple:
             out[key] = tuple(_parse_float(p, f"{where}.{key}") for p in raw.split(","))
         elif kind == "schedule":

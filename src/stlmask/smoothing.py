@@ -52,8 +52,10 @@ def smooth_max(values, mode: Mode = Hard(), weights=None) -> float:
         kept = x if w is None else x[w > 0]
         return float(np.max(kept))
     tau = mode.temp
-    m = float(np.max(x if w is None else x[w > 0]))
-    e = np.exp(tau * (x - m))
+    # excluded entries may exceed the kept maximum; exp(-inf) keeps them at 0
+    kept = x if w is None else np.where(w > 0, x, -np.inf)
+    m = float(np.max(kept))
+    e = np.exp(tau * (kept - m))
     if w is not None:
         e = w * e
     if isinstance(mode, LogSumExp):
@@ -109,6 +111,10 @@ def smooth_mask_weights(si: SmoothInterval, length: int) -> np.ndarray:
     return w
 
 
+# endpoints of the sigmoid schedule's shape, before rescaling to [start, end]
+_SIGMOID_LO, _SIGMOID_HI = sigmoid(-6.0), sigmoid(6.0)
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Scheduled parameter value over an optimization run.
@@ -150,8 +156,7 @@ class AnnealSchedule:
         p = step / self.total
         if self.kind == "linear":
             return self.start + (self.end - self.start) * p
-        lo, hi = sigmoid(-6.0), sigmoid(6.0)
-        frac = (sigmoid(12.0 * (p - 0.5)) - lo) / (hi - lo)
+        frac = (sigmoid(12.0 * (p - 0.5)) - _SIGMOID_LO) / (_SIGMOID_HI - _SIGMOID_LO)
         return self.start + (self.end - self.start) * frac
 
 

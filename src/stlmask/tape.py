@@ -2,17 +2,25 @@
 
 A :class:`Var` wraps an array together with the closure that routes incoming
 cotangents to its parents.  Graphs are built eagerly by the engine code and
-differentiated with :func:`backward`, which walks an iterative topological
-order (formula graphs can reach hundreds of thousands of nodes, so no
-recursion).  Reductions always run along the last axis; leading axes act as
-batch dimensions.
+differentiated with :func:`backward`.  Every node takes a creation sequence
+number, and a node's parents exist before it does, so descending sequence
+order is a topological order: ``backward`` collects the reachable nodes with
+one stack walk and calls their closures in that order (formula graphs can
+reach hundreds of thousands of nodes, so no recursion).  Reductions always
+run along the last axis; leading axes act as batch dimensions.
 
 Hard max/min route the full subgradient to the first extremal entry in
-ascending index order.  The smooth reductions factor out a detached maximum
-before exponentiation, so large temperatures cannot overflow.
+ascending index order.  Each smooth max/min is a single tape node: its
+forward pass factors out a detached maximum over the kept entries before
+exponentiation, so large temperatures cannot overflow, and its closure
+routes the analytic gradient to the input and, when they are taped, to the
+weights.
 """
 
 from __future__ import annotations
+
+import itertools
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,16 +55,20 @@ __all__ = [
 ]
 
 
+_creation = itertools.count()
+
+
 class Var:
     """Node in the computation graph: an array plus a backward closure."""
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = parents
         self._vjp = vjp
+        self._seq = next(_creation)
 
     @property
     def shape(self):
@@ -113,24 +125,23 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def backward(out: Var, seed=None):
     """Accumulate gradients of ``out`` into every reachable leaf's ``.grad``."""
-    topo = []
-    seen = set()
-    stack = [(out, False)]
+    inner = []
+    seen = {out}
+    stack = [out]
     while stack:
-        node, ready = stack.pop()
-        if ready:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
+        node = stack.pop()
+        if node._vjp is not None:
+            inner.append(node)
         for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    # children are created after their parents, so a node's closure runs
+    # only once every consumer has accumulated into its grad
+    inner.sort(key=attrgetter("_seq"), reverse=True)
     out.grad = np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=np.float64)
-    for node in reversed(topo):
-        if node._vjp is not None and node.grad is not None:
+    for node in inner:
+        if node.grad is not None:
             node._vjp(node.grad)
 
 
@@ -193,11 +204,9 @@ def log(a) -> Var:
 def sigmoid(a) -> Var:
     a = as_var(a)
     z = a.data
-    s = np.empty_like(z)
-    pos = z >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    s[~pos] = ez / (1.0 + ez)
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: never overflows
+    ez = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
     out = Var(s, (a,))
     out._vjp = lambda g: _accum(a, g * s * (1.0 - s))
     return out
@@ -357,38 +366,72 @@ def hard_max(a, weights=None) -> Var:
     return out
 
 
+def _smooth_reduce(a: Var, mode: Mode, weights, sign: float) -> Var:
+    """``sign * reduce-max(sign * a)`` in log-sum-exp or softmax mode, one node.
+
+    With ``x = sign * a``, ``m`` the detached max of ``x`` over kept entries
+    (``w > 0``), ``ez = exp(tau * (x - m))`` (0 where masked), ``e = w * ez``
+    and ``s = sum(e)``:
+
+    * log-sum-exp: ``log(s) / tau + m``; d/dx = ``e / s``,
+      d/dw = ``ez / (tau * s)``;
+    * softmax: ``sum(x * e) / s``; d/dx = ``e / s * (1 + tau * (x - out))``,
+      d/dw = ``ez * (x - out) / s``.
+
+    ``d/da = d/dx`` because ``sign * sign == 1``; the weight gradient carries
+    ``sign``.
+    """
+    if not isinstance(mode, (LogSumExp, SoftMax)):
+        raise TypeError(f"unsupported mode: {mode!r}")
+    lse = isinstance(mode, LogSumExp)
+    tau = mode.temp
+    x = a.data if sign > 0 else -a.data
+    w = _weight_data(weights)
+    # entries outside the kept set may exceed the kept max; silence them
+    # before exponentiation so 0 * exp(huge) cannot produce NaN
+    x_kept = x if w is None else np.where(w > 0, x, -np.inf)
+    m = np.max(x_kept, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise EmptyWindowError("smooth reduction over a window with no kept entries")
+    ez = np.exp((x_kept - m) * tau)
+    e = ez if w is None else w * ez
+    s = np.sum(e, axis=-1)
+    if not np.all(s > 0):
+        raise EmptyWindowError("smooth reduction over an all-zero-weight window")
+    inner = np.log(s) * (1.0 / tau) + m[..., 0] if lse else np.sum(x * e, axis=-1) / s
+    taped_w = weights if isinstance(weights, Var) else None
+    out = Var(sign * inner, (a,) if taped_w is None else (a, taped_w))
+
+    def vjp(g):
+        g_s = (g / s)[..., None]
+        if lse:
+            ga = g_s * e
+            gw = None if taped_w is None else (g_s * (sign / tau)) * ez
+        else:
+            dev = x - inner[..., None]
+            ga = g_s * e * (1.0 + tau * dev)
+            gw = None if taped_w is None else (g_s * sign) * ez * dev
+        _accum(a, _unbroadcast(ga, a.data.shape))
+        if gw is not None:
+            _accum(taped_w, _unbroadcast(gw, taped_w.data.shape))
+    out._vjp = vjp
+    return out
+
+
 def smooth_max(a, mode: Mode, weights=None) -> Var:
     """Max-reduction along the last axis under the configured semantics."""
     a = as_var(a)
     if isinstance(mode, Hard):
         return hard_max(a, weights)
-    tau = mode.temp
-    m = stop_grad(hard_max(a, weights))
-    z = (a - unsqueeze_last(m)) * tau
-    if weights is not None:
-        w = _weight_data(weights)
-        # entries outside the kept set may exceed the kept max; silence them
-        # before exponentiation so 0 * exp(huge) cannot produce NaN
-        z = mask_fill(z, w > 0, -np.inf)
-        e = mul(as_var(weights), exp(z))
-    else:
-        e = exp(z)
-    if isinstance(mode, LogSumExp):
-        s = vsum(e, axis=-1)
-        if not np.all(s.data > 0):
-            raise EmptyWindowError("log-sum-exp reduction over an all-zero-weight window")
-        return log(s) * (1.0 / tau) + m
-    if isinstance(mode, SoftMax):
-        den = vsum(e, axis=-1)
-        if not np.all(den.data > 0):
-            raise EmptyWindowError("softmax reduction over an all-zero-weight window")
-        num = vsum(mul(a, e), axis=-1)
-        return div(num, den)
-    raise TypeError(f"unsupported mode: {mode!r}")
+    return _smooth_reduce(a, mode, weights, 1.0)
 
 
 def smooth_min(a, mode: Mode, weights=None) -> Var:
-    return neg(smooth_max(neg(as_var(a)), mode, weights))
+    """Min-reduction along the last axis: ``-smooth_max(-a)``."""
+    a = as_var(a)
+    if isinstance(mode, Hard):
+        return neg(hard_max(neg(a), weights))
+    return _smooth_reduce(a, mode, weights, -1.0)
 
 
 def pair_smooth_max(a, b, mode: Mode) -> Var:

@@ -15,7 +15,7 @@ from stlmask.apps import (
     rollout_single_integrator,
     synth_step_dataset,
 )
-from stlmask.core import LogSumExp, NamedSignals, SemanticsConfig, SmoothInterval
+from stlmask.core import DivergedError, LogSumExp, NamedSignals, SemanticsConfig, SmoothInterval
 from stlmask.masking import robustness
 from stlmask.formula import Always, Pred
 
@@ -161,6 +161,16 @@ class TestMineInterval:
         cfg = MiningConfig(gamma=1.0, steps=1500)
         a, b = mine_interval(data, cfg)["interval"]
         assert (b - a) > (0.59 - 0.23) + 0.05
+
+
+@pytest.mark.parametrize("run", [
+    lambda: plan_trajectory(PlannerConfig(steps=5, init_interval=(0.4, 0.4))),
+    lambda: mine_interval(synth_step_dataset(0), MiningConfig(steps=5, init_interval=(0.4, 0.4))),
+], ids=["plan", "mine"])
+def test_closed_interval_raises_diverged_with_step(run):
+    # alpha == beta gives a == b, which the ordering alone cannot prevent
+    with pytest.raises(DivergedError, match="at step 0"):
+        run()
 
 
 class TestGridEval:

@@ -185,6 +185,12 @@ class TestMineCommand:
         cfgp.write_text("bogus_key = 1\n")
         assert run_cli("mine", "--generate", "0", "--config", str(cfgp)) == 2
 
+    def test_non_integer_step_count_rejected(self, tmp_path, capsys):
+        cfgp = tmp_path / "m.cfg"
+        cfgp.write_text("steps = 2.5\n")
+        assert run_cli("mine", "--generate", "0", "--config", str(cfgp)) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
 
 class TestPlanCommand:
     def test_quick_plan_with_states_csv(self, tmp_path):

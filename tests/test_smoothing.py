@@ -34,7 +34,9 @@ class TestSmoothMax:
     def test_lse_min_duality(self):
         assert smooth_min([0.0, 0.0], LogSumExp(1.0)) == pytest.approx(-math.log(2), abs=1e-12)
 
-    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(2.0), SoftMax(2.0)])
+    # at temperature 500 the excluded 9.0 would overflow exp unless it is masked first
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(2.0), SoftMax(2.0), LogSumExp(500.0),
+                                      SoftMax(500.0)])
     def test_single_effective_weight(self, mode):
         assert smooth_max([9.0, 4.0, 7.0], mode, weights=[0, 1, 0]) == pytest.approx(4.0)
         assert smooth_min([9.0, 4.0, 7.0], mode, weights=[0, 1, 0]) == pytest.approx(4.0)

@@ -3,6 +3,7 @@ import pytest
 
 from stlmask import tape
 from stlmask.core import EmptyWindowError, Hard, LogSumExp, SoftMax
+from stlmask.smoothing import smooth_max as ref_max, smooth_min as ref_min
 from stlmask.tape import Var, backward
 
 
@@ -148,7 +149,6 @@ class TestReductions:
             assert out.data <= -2.0 + 1.0
 
     def test_smooth_matches_smoothing_module(self):
-        from stlmask.smoothing import smooth_max as ref_max
         rng = np.random.default_rng(7)
         for mode in (Hard(), LogSumExp(2.5), SoftMax(1.5)):
             xs = rng.normal(0, 3, 9)
@@ -158,10 +158,92 @@ class TestReductions:
             assert got == pytest.approx(ref_max(xs, mode, weights=ws), abs=1e-12)
 
 
+def composite_reduce(x, mode, w, sign):
+    """Smooth max (sign=1) or min (sign=-1) as the chain of elementwise steps
+    the tape used to record one node each: detached kept max, shift, scale,
+    mask, exp, weight, sum, then log-sum-exp or softmax average."""
+    x = sign * np.asarray(x, dtype=np.float64)
+    keep = np.ones(x.shape, dtype=bool) if w is None else np.broadcast_to(w > 0, x.shape)
+    m = np.max(np.where(keep, x, -np.inf), axis=-1)
+    z = np.where(keep, (x - m[..., None]) * mode.temp, -np.inf)
+    e = np.exp(z) if w is None else w * np.exp(z)
+    if isinstance(mode, LogSumExp):
+        out = np.log(np.sum(e, axis=-1)) * (1.0 / mode.temp) + m
+    else:
+        out = np.sum(x * e, axis=-1) / np.sum(e, axis=-1)
+    return sign * out
+
+
+FUSED = [(tape.smooth_max, 1.0, ref_max), (tape.smooth_min, -1.0, ref_min)]
+REDUCERS = [tape.smooth_max, tape.smooth_min]
+
+
+class TestFusedSmoothReduction:
+    @pytest.mark.parametrize("reduce,sign,ref", FUSED, ids=["max", "min"])
+    @pytest.mark.parametrize("mode", [LogSumExp(2.5), SoftMax(1.5), LogSumExp(100.0), SoftMax(100.0)])
+    def test_values_match_composite_and_smoothing(self, reduce, sign, ref, mode):
+        rng = np.random.default_rng(11)
+        # spread * temp reaches ~1e4 at temp 100: exp overflows unless shifted
+        x = rng.normal(0, 40, (3, 4, 7))
+        w_vec = rng.uniform(0, 1, 7)
+        w_vec[[1, 4]] = 0.0
+        w_mat = rng.uniform(0, 1, (4, 7)) * (rng.uniform(0, 1, (4, 7)) > 0.3)
+        w_mat[:, 2] = 0.5
+        for w in (None, w_vec, w_mat):
+            for weights in (w, None if w is None else Var(w)):
+                got = reduce(Var(x), mode, weights=weights).data
+                assert got.shape == (3, 4)
+                assert np.all(np.isfinite(got))
+                np.testing.assert_allclose(got, composite_reduce(x, mode, w, sign), rtol=0, atol=1e-12)
+                wb = np.ones(x.shape) if w is None else np.broadcast_to(w, x.shape)
+                expect = [[ref(x[i, j], mode, weights=wb[i, j]) for j in range(4)] for i in range(3)]
+                np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reduce", REDUCERS, ids=["max", "min"])
+    @pytest.mark.parametrize("mode", [LogSumExp(0.7), LogSumExp(6.0), SoftMax(2.0)])
+    @pytest.mark.parametrize("w_shape", [(5,), (3, 5)])
+    def test_grads_to_input_and_broadcast_weights(self, reduce, mode, w_shape):
+        rng = np.random.default_rng(12)
+        x0 = rng.normal(0, 1, (2, 3, 5))
+        w0 = rng.uniform(0.1, 1.0, w_shape)
+        seed = rng.normal(0, 1, (2, 3))
+
+        def scalar(xa, wa):
+            return float(np.sum(reduce(Var(xa), mode, weights=Var(wa)).data * seed))
+
+        x, w = Var(x0), Var(w0)
+        backward(reduce(x, mode, weights=w), seed=seed)
+        assert w.grad.shape == w_shape
+        np.testing.assert_allclose(x.grad, numeric_grad(lambda xa: scalar(xa, w0), x0), atol=1e-6)
+        np.testing.assert_allclose(w.grad, numeric_grad(lambda wa: scalar(x0, wa), w0), atol=1e-6)
+
+    @pytest.mark.parametrize("reduce", REDUCERS, ids=["max", "min"])
+    @pytest.mark.parametrize("mode", [LogSumExp(3.0), SoftMax(3.0)])
+    def test_masked_entries_get_exactly_zero_gradient(self, reduce, mode):
+        x = Var(np.array([[1e5, -2.0, 0.5, -1e5], [0.3, 0.1, -0.2, 0.4]]))
+        w = Var(np.array([0.0, 0.7, 1.0, 0.0]))
+        backward(reduce(x, mode, weights=w))
+        assert np.all(x.grad[:, [0, 3]] == 0.0)
+        assert np.all(w.grad[[0, 3]] == 0.0)
+        assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
+
+    def test_ndarray_weights_get_no_gradient_and_no_parent(self):
+        x = Var(np.array([0.2, 0.9, -0.4]))
+        out = tape.smooth_min(x, LogSumExp(4.0), weights=np.array([1.0, 0.5, 0.0]))
+        assert out._parents == (x,)
+
+    @pytest.mark.parametrize("reduce", REDUCERS, ids=["max", "min"])
+    @pytest.mark.parametrize("mode", [LogSumExp(2.0), SoftMax(2.0)])
+    def test_all_zero_weight_window_raises(self, reduce, mode):
+        x = Var(np.ones((2, 3)))
+        for w in (np.zeros(3), Var(np.zeros(3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])):
+            with pytest.raises(EmptyWindowError):
+                reduce(x, mode, weights=w)
+
+
 class TestSuffixReductions:
     @pytest.mark.parametrize("mode", [Hard(), LogSumExp(1.0), LogSumExp(15.0)])
     def test_matches_per_window_reduction(self, mode):
-        from stlmask.smoothing import smooth_max as ref_max
         rng = np.random.default_rng(8)
         x = rng.normal(0, 2, 11)
         out = tape.suffix_smooth_max(Var(x), mode)
@@ -198,12 +280,51 @@ class TestSuffixReductions:
             tape.suffix_smooth_max(Var(np.ones(3)), SoftMax(1.0))
 
 
+def dfs_backward(out):
+    """Two-phase depth-first topological backward: the ordering reference."""
+    topo, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    out.grad = np.ones_like(out.data)
+    for node in reversed(topo):
+        if node._vjp is not None and node.grad is not None:
+            node._vjp(node.grad)
+
+
+def composite_smooth_max(a, mode, weights=None):
+    """The smooth max as the graph of primitives it was built from before
+    each reduction became one node."""
+    a = tape.as_var(a)
+    if isinstance(mode, Hard):
+        return tape.hard_max(a, weights)
+    m = tape.stop_grad(tape.hard_max(a, weights))
+    z = (a - tape.unsqueeze_last(m)) * mode.temp
+    if weights is None:
+        e = tape.exp(z)
+    else:
+        w = weights.data if isinstance(weights, Var) else np.asarray(weights, dtype=np.float64)
+        e = tape.mul(tape.as_var(weights), tape.exp(tape.mask_fill(z, w > 0, -np.inf)))
+    if isinstance(mode, LogSumExp):
+        return tape.log(tape.vsum(e, axis=-1)) * (1.0 / mode.temp) + m
+    return tape.div(tape.vsum(tape.mul(a, e), axis=-1), tape.vsum(e, axis=-1))
+
+
+def composite_smooth_min(a, mode, weights=None):
+    return tape.neg(composite_smooth_max(tape.neg(tape.as_var(a)), mode, weights))
+
+
 class TestBackward:
     def test_large_graph_no_recursion_error(self):
         v = Var(np.array([1.0]))
         out = v
-        for _ in range(30000):
-            out = out + 1.0
+        for _ in range(200_000):
+            out = tape.neg(out)
         backward(out)
         np.testing.assert_allclose(v.grad, [1.0])
 
@@ -212,3 +333,46 @@ class TestBackward:
         out = v * 2.0 + v * 5.0
         backward(out)
         np.testing.assert_allclose(v.grad, [7.0])
+
+    def test_reused_inner_node_sums_both_paths(self):
+        # h feeds two branches built at different times; its closure must run
+        # only after both have accumulated into h.grad
+        def build(v):
+            h = tape.exp(v * 0.5)
+            left = tape.square(h)
+            mid = tape.sigmoid(v)
+            right = h * mid + 1.0
+            return tape.vsum(left * right)
+        check_grad(build, [0.3, -1.2])
+        v = Var(np.array([0.3, -1.2]))
+        backward(build(v))
+        h = np.exp(0.5 * v.data)
+        s = 1.0 / (1.0 + np.exp(-v.data))
+        # out = h^3 s + h^2, dh/dv = h / 2
+        expect = (3 * h**2 * s + 2 * h) * h / 2 + h**3 * s * (1 - s)
+        np.testing.assert_allclose(v.grad, expect, rtol=1e-13)
+
+    @pytest.mark.parametrize("mode", [LogSumExp(20.0), SoftMax(4.0)])
+    def test_planning_gradient_matches_composite_graph(self, monkeypatch, mode):
+        from stlmask import apps
+        cfg = apps.PlannerConfig()
+        rng = np.random.default_rng(13)
+        u0 = rng.normal(0.3, 0.4, (cfg.horizon, 2))
+
+        def grads(backprop):
+            u, alpha, beta = Var(u0), Var(-1.3), Var(1.1)
+            a, b = apps._ordered_bounds(alpha, beta)
+            total = apps._planning_terms(u, a, b, cfg, mode.temp, 4.0)
+            backprop(total)
+            return float(total.data), u.grad, float(alpha.grad), float(beta.grad)
+
+        monkeypatch.setattr(apps, "LogSumExp", type(mode))
+        fused = grads(backward)
+        monkeypatch.setattr(tape, "smooth_max", composite_smooth_max)
+        monkeypatch.setattr(tape, "smooth_min", composite_smooth_min)
+        reference = grads(dfs_backward)
+        assert fused[0] == pytest.approx(reference[0], rel=0, abs=1e-12)
+        np.testing.assert_allclose(fused[1], reference[1], rtol=0, atol=1e-12)
+        assert np.max(np.abs(fused[1])) > 1e-3
+        assert fused[2] == pytest.approx(reference[2], rel=0, abs=1e-12)
+        assert fused[3] == pytest.approx(reference[3], rel=0, abs=1e-12)
