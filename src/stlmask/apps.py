@@ -61,9 +61,18 @@ def _schedule(spec: Schedule, total: int) -> AnnealSchedule:
 
 
 def _logit(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"initial bound must lie strictly inside (0, 1), got {p}")
     return math.log(p / (1.0 - p))
+
+
+def _check_descent(init_interval, **schedules: Schedule):
+    """Validate the settings both drivers share; raises ``ValueError``."""
+    if len(init_interval) != 2 or not all(0.0 < p < 1.0 for p in init_interval):
+        raise ValueError(f"init_interval must be two bounds strictly inside (0, 1), got {init_interval}")
+    for name, spec in schedules.items():
+        try:
+            _schedule(spec, 1)  # unpacks (kind, start, end); AnnealSchedule checks the rest
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _ordered_bounds(alpha: Var, beta: Var) -> tuple[Var, Var]:
@@ -124,6 +133,14 @@ class PlannerConfig:
             raise ValueError("nominal interval size must lie in (0, 1)")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.control_init_scale >= 0:
+            raise ValueError(f"control_init_scale must be nonnegative, got {self.control_init_scale}")
+        for name, size in (("target_box", 4), ("goal_box", 4), ("start", 2)):
+            if len(getattr(self, name)) != size:
+                raise ValueError(f"{name} takes {size} values, got {getattr(self, name)}")
+        _check_descent(self.init_interval, temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
 
 
 def rollout_single_integrator(x0, controls, dt: float) -> np.ndarray:
@@ -257,6 +274,9 @@ class MiningConfig:
             raise ValueError("gamma must be nonnegative")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not 0.0 <= self.eps < 0.5:
+            raise ValueError(f"need 0 <= eps < 0.5, got {self.eps}")
+        _check_descent(self.init_interval, temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
 
 
 def synth_step_dataset(seed: int, n: int = 64, length: int = 20,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import masking, tape
 from .core import NamedSignals, SemanticsConfig, SmoothInterval, ValidationError
-from .formula import Always, And, Eventually, Formula, Not, Or, Until
+from .formula import Always, Eventually, Formula
 from .formula import validate_against
 from .tape import Var
 
@@ -38,27 +38,20 @@ class Gradients:
     d_c: Optional[float] = None
 
 
+def _is_smooth(f: Formula) -> bool:
+    return isinstance(f, (Eventually, Always)) and isinstance(f.interval, SmoothInterval)
+
+
 def _smooth_intervals(f: Formula) -> list[SmoothInterval]:
-    if isinstance(f, (Eventually, Always)):
-        found = [f.interval] if isinstance(f.interval, SmoothInterval) else []
-        return found + _smooth_intervals(f.arg)
-    if isinstance(f, Not):
-        return _smooth_intervals(f.arg)
-    if isinstance(f, (And, Or, Until)):
-        return _smooth_intervals(f.left) + _smooth_intervals(f.right)
-    return []
+    found = [f.interval] if _is_smooth(f) else []
+    for child in f.children():
+        found += _smooth_intervals(child)
+    return found
 
 
 def _rebind_smooth(f: Formula, si: SmoothInterval) -> Formula:
-    if isinstance(f, (Eventually, Always)):
-        arg = _rebind_smooth(f.arg, si)
-        iv = si if isinstance(f.interval, SmoothInterval) else f.interval
-        return replace(f, arg=arg, interval=iv)
-    if isinstance(f, Not):
-        return replace(f, arg=_rebind_smooth(f.arg, si))
-    if isinstance(f, (And, Or, Until)):
-        return replace(f, left=_rebind_smooth(f.left, si), right=_rebind_smooth(f.right, si))
-    return f
+    g = f.replace_children(*(_rebind_smooth(child, si) for child in f.children()))
+    return replace(g, interval=si) if _is_smooth(g) else g
 
 
 def value_and_grad(f: Formula, signals: NamedSignals,

@@ -2,7 +2,7 @@
 
 Results are printed as JSON to stdout (or ``--out``); diagnostics go to
 stderr.  Exit codes: 0 success, 2 parse/validation/config errors, 3 diverged
-optimization.
+optimization.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -30,19 +30,20 @@ from .formula import validate_against
 __all__ = ["main", "cmd_eval", "cmd_trace", "cmd_bench", "cmd_mine", "cmd_plan"]
 
 
+_SMOOTH_MODES = {"softmax": SoftMax, "lse": LogSumExp}
+
+
 def _semantics(args) -> SemanticsConfig:
-    if args.mode == "hard":
-        mode = Hard()
-    elif args.mode == "softmax":
-        mode = SoftMax(args.temp)
-    else:
-        mode = LogSumExp(args.temp)
-    if args.padding == "last":
-        padding = PaddingPolicy.last_value()
-    elif args.padding.startswith("const:"):
-        padding = PaddingPolicy.constant(float(args.padding.split(":", 1)[1]))
-    else:
-        raise fileio.ConfigError(f"--padding must be 'last' or 'const:<v>', got {args.padding!r}")
+    try:
+        mode = Hard() if args.mode == "hard" else _SMOOTH_MODES[args.mode](args.temp)
+        if args.padding == "last":
+            padding = PaddingPolicy.last_value()
+        elif args.padding.startswith("const:"):
+            padding = PaddingPolicy.constant(float(args.padding.split(":", 1)[1]))
+        else:
+            raise ValueError(f"--padding must be 'last' or 'const:<v>', got {args.padding!r}")
+    except ValueError as exc:
+        raise fileio.ConfigError(str(exc)) from None
     return SemanticsConfig(mode=mode, padding=padding)
 
 
@@ -91,12 +92,21 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _check_seed(seed, flag: str):
+    if seed < 0:
+        raise fileio.ConfigError(f"{flag} must be a nonnegative integer, got {seed}")
+
+
 def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise fileio.ConfigError("--reps must be >= 1")
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    if args.reps < 1 or args.batch < 1:
+        raise fileio.ConfigError("--reps and --batch must be >= 1")
+    _check_seed(args.seed, "--seed")
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        sizes = ()
     if not sizes or min(sizes) < 1:
-        raise fileio.ConfigError("--sizes must be a comma list of positive lengths")
+        raise fileio.ConfigError(f"--sizes must be a comma list of positive lengths, got {args.sizes!r}")
     report = bench.run_bench(sizes=sizes, reps=args.reps, batch=args.batch,
                              include_grad=args.grad, seed=args.seed)
     _emit(report, args.out)
@@ -120,7 +130,10 @@ def _config_from(path, keys, cls):
     overrides = {}
     if path:
         overrides = fileio.apply_config(fileio.load_config(path), keys, str(path))
-    return cls(**overrides)
+    try:
+        return cls(**overrides)
+    except ValueError as exc:
+        raise fileio.ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_mine(args) -> int:
@@ -128,6 +141,7 @@ def cmd_mine(args) -> int:
         raise fileio.ConfigError("pass exactly one of --data or --generate")
     cfg = _config_from(args.config, _MINE_KEYS, apps.MiningConfig)
     if args.generate is not None:
+        _check_seed(args.generate, "--generate")
         dataset = apps.synth_step_dataset(args.generate)
         source = {"generated_seed": args.generate}
     else:
@@ -138,7 +152,9 @@ def cmd_mine(args) -> int:
         try:
             na, nb = (int(p) for p in args.contour.lower().split("x"))
         except ValueError:
-            raise fileio.ConfigError(f"--contour expects NxM, got {args.contour!r}") from None
+            na = nb = 0
+        if min(na, nb) < 1:
+            raise fileio.ConfigError(f"--contour expects NxM with positive N and M, got {args.contour!r}")
         grid_a = np.linspace(0.0, 1.0, na)
         grid_b = np.linspace(0.0, 1.0, nb)
         sem = SemanticsConfig(mode=LogSumExp(cfg.temp_anneal[2]))
@@ -160,6 +176,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    _check_seed(args.seed, "--seed")
     cfg = _config_from(args.config, _PLAN_KEYS, apps.PlannerConfig)
     result = apps.plan_trajectory(cfg, seed=args.seed)
     if args.states_csv:
@@ -249,7 +266,8 @@ def main(argv=None) -> int:
     except DivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StlError, ValueError, TypeError, OSError) as exc:
+    except (StlError, OSError) as exc:
+        # anything else is a bug in stlmask, not bad input: let it surface
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

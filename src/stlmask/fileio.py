@@ -51,7 +51,7 @@ def read_signals_csv(path) -> NamedSignals:
     try:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
@@ -72,9 +72,9 @@ def read_signals_csv(path) -> NamedSignals:
     if "t" in header:
         tcol = data[:, header.index("t")]
         if len(tcol) >= 2:
-            dt = float(tcol[1] - tcol[0])
-            if dt <= 0:
-                raise ConfigError(f"{path}: t column is not increasing")
+            dt = float(tcol[1]) - float(tcol[0])
+            if not 0 < dt < np.inf:
+                raise ConfigError(f"{path}: t column must increase by a finite step")
     channels = {name: data[:, j] for j, name in enumerate(header) if name != "t"}
     if not channels:
         raise ConfigError(f"{path}: no signal columns besides t")
@@ -126,7 +126,7 @@ def load_config(path) -> dict[str, str]:
     path = Path(path)
     try:
         return parse_config_text(path.read_text(), str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 

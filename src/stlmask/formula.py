@@ -26,8 +26,8 @@ and are not part of the text DSL, so they do not round-trip through
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional, Union
 
 from .core import InvalidIntervalError, NamedSignals, SmoothInterval, StepInterval, StlError
 
@@ -66,6 +66,19 @@ class ParseError(StlError):
 class Formula:
     """Base class; provides ``&``, ``|`` and ``~`` sugar for building ASTs."""
 
+    #: names of the fields holding sub-formulas, left to right
+    _child_fields: ClassVar[tuple[str, ...]] = ()
+
+    def children(self) -> tuple["Formula", ...]:
+        """Direct sub-formulas, left to right."""
+        return tuple(getattr(self, name) for name in self._child_fields)
+
+    def replace_children(self, *kids: "Formula") -> "Formula":
+        """Copy of this node with its sub-formulas replaced, in ``children()`` order."""
+        if len(kids) != len(self._child_fields):
+            raise ValueError(f"{type(self).__name__} takes {len(self._child_fields)} children, got {len(kids)}")
+        return replace(self, **dict(zip(self._child_fields, kids)))
+
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -98,35 +111,41 @@ class Pred(Formula):
 
 @dataclass(frozen=True)
 class Not(Formula):
+    _child_fields = ("arg",)
     arg: Formula
 
 
 @dataclass(frozen=True)
 class And(Formula):
+    _child_fields = ("left", "right")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Or(Formula):
+    _child_fields = ("left", "right")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Eventually(Formula):
+    _child_fields = ("arg",)
     arg: Formula
     interval: Union[StepInterval, SmoothInterval, None] = None
 
 
 @dataclass(frozen=True)
 class Always(Formula):
+    _child_fields = ("arg",)
     arg: Formula
     interval: Union[StepInterval, SmoothInterval, None] = None
 
 
 @dataclass(frozen=True)
 class Until(Formula):
+    _child_fields = ("left", "right")
     left: Formula
     right: Formula
     interval: Optional[StepInterval] = None
@@ -385,34 +404,21 @@ def temporal_depth(f: Formula) -> int:
     """
 
     def walk(node: Formula) -> int:
-        if isinstance(node, (TrueFormula, Pred)):
-            return 0
-        if isinstance(node, Not):
-            return walk(node.arg)
-        if isinstance(node, (And, Or)):
-            return max(walk(node.left), walk(node.right))
-        if isinstance(node, (Eventually, Always)):
-            return 1 + walk(node.arg)
-        if isinstance(node, Until):
-            return 2 + max(walk(node.left), walk(node.right))
-        raise TypeError(f"not a Formula node: {node!r}")
+        if not isinstance(node, Formula):
+            raise TypeError(f"not a Formula node: {node!r}")
+        own = 2 if isinstance(node, Until) else 1 if isinstance(node, (Eventually, Always)) else 0
+        return own + max(map(walk, node.children()), default=0)
 
     return max(0, walk(f) - 1)
 
 
 def variables(f: Formula) -> set[str]:
     """All predicate variable names appearing in the formula."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a Formula node: {f!r}")
     if isinstance(f, Pred):
         return {f.var}
-    if isinstance(f, TrueFormula):
-        return set()
-    if isinstance(f, Not):
-        return variables(f.arg)
-    if isinstance(f, (And, Or, Until)):
-        return variables(f.left) | variables(f.right)
-    if isinstance(f, (Eventually, Always)):
-        return variables(f.arg)
-    raise TypeError(f"not a Formula node: {f!r}")
+    return set().union(*map(variables, f.children()))
 
 
 def validate_against(f: Formula, signals: NamedSignals) -> list[str]:

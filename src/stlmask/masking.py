@@ -7,6 +7,11 @@ collapses column-wise.  Until unrolls one extra dimension: for each window
 offset ``i`` the prefix of the left trace and the single right value are
 reduced separately, paired, and the results max-reduced across offsets.
 
+The dispatch over formula nodes is :func:`walk`, shared with the recurrent
+engine: the two tape engines differ only in the ``F``/``G`` and ``U`` kernels
+they pass in.  Boolean connectives and until's pairings are one
+``tape.pair_smooth_min``/``pair_smooth_max`` node each.
+
 The implementation streams columns and window slices instead of materializing
 the full unrolled arrays; tests check it against materialized mask reductions.
 Two shortcuts keep the streaming path cheap without changing results:
@@ -41,6 +46,7 @@ import numpy as np
 from . import tape
 from .core import (
     EmptyWindowError,
+    Hard,
     NamedSignals,
     PaddingPolicy,
     SemanticsConfig,
@@ -79,6 +85,8 @@ __all__ = [
     "robustness_trace",
     "robustness",
     "trace_var",
+    "walk",
+    "pad_value",
     "smooth_weights_var",
 ]
 
@@ -167,14 +175,11 @@ def _reduce(x, kind: str, cfg: SemanticsConfig, weights=None) -> Var:
     return tape.smooth_min(x, cfg.mode, weights)
 
 
-def _pad_value_var(child: Var, length: int, cfg: SemanticsConfig) -> Var:
+def pad_value(child: Var, length: int, cfg: SemanticsConfig) -> Var:
+    """The value assumed past the end of ``child``; shape ``child.shape[:-1]``."""
     if cfg.padding.kind == "last":
         return tape.index_last(child, length - 1)
     return Var(np.full(child.data.shape[:-1], cfg.padding.value))
-
-
-def _hard_min_pair(x: Var, y: Var) -> Var:
-    return tape.neg(tape.hard_max(tape.stack_last([tape.neg(x), tape.neg(y)])))
 
 
 def _replace_overrun(out: Var, length: int, upper: int, pad_value: Var) -> Var:
@@ -232,7 +237,7 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
         return _fill_reduce_columns(padded, keep, kind, cfg)
     idx = np.arange(length)[:, None] + iv.a + np.arange(window_size(iv))[None, :]
     out = _reduce(tape.take_last(padded, idx), kind, cfg)
-    return _replace_overrun(out, length, iv.b, _pad_value_var(child, length, cfg))
+    return _replace_overrun(out, length, iv.b, pad_value(child, length, cfg))
 
 
 def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
@@ -257,7 +262,7 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
         for k in range(count):
             pm = _fill_reduce_columns(lp, keep_left[:, :, k], "min", cfg)
             rv = _fill_reduce_columns(rp, keep_right[:, :, k], "min", cfg)
-            terms.append(_reduce(tape.stack_last([pm, rv]), "min", cfg))
+            terms.append(tape.pair_smooth_min(pm, rv, cfg.mode))
         stacked = tape.stack_last(terms)
         if outer_keep is not None:
             stacked = tape.mask_fill(stacked, outer_keep, -cfg.sentinel)
@@ -277,20 +282,19 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
                     idx = np.minimum(t[:, None] + np.arange(a + 1)[None, :], last)
                     pm = _reduce(tape.take_last(lp, idx), "min", cfg)
             else:
-                pm = _reduce(tape.stack_last([pm, lv]), "min", cfg)
+                pm = tape.pair_smooth_min(pm, lv, cfg.mode)
         else:
             idx = np.minimum(t[:, None] + np.arange(a + k + 1)[None, :], last)
             pm = _reduce(tape.take_last(lp, idx), "min", cfg)
         rv = tape.take_last(rp, end)
-        terms.append(_reduce(tape.stack_last([pm, rv]), "min", cfg))
+        terms.append(tape.pair_smooth_min(pm, rv, cfg.mode))
     stacked = tape.stack_last(terms)
     weights = outer_keep.astype(np.float64) if outer_keep is not None else None
     out = _reduce(stacked, "max", cfg, weights=weights)
     if iv is None:
         return out
-    pad_value = _hard_min_pair(_pad_value_var(left, length, cfg),
-                               _pad_value_var(right, length, cfg))
-    return _replace_overrun(out, length, iv.b, pad_value)
+    pad = tape.pair_smooth_min(pad_value(left, length, cfg), pad_value(right, length, cfg), Hard())
+    return _replace_overrun(out, length, iv.b, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +309,18 @@ def smooth_weights_var(a, b, c, eps: float, length: int) -> Var:
     return tape.relu(lo - hi - eps)
 
 
-def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
-              smooth_binding=None) -> Var:
-    """Robustness trace as a tape variable; shape ``(..., length)``.
+def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
+         ev_always, until, smooth_binding=None) -> Var:
+    """Robustness trace of ``f`` on the tape, given an engine's temporal kernels.
 
-    ``channels`` may carry leading batch axes.  ``smooth_binding``, when
-    given, is an ``(a, b, c)`` triple (floats or :class:`Var`) substituted for
-    the parameters of every smooth-interval node in ``f``.
+    ``ev_always(child, length, interval, cfg, kind, smooth_weights)`` with
+    ``kind`` ``"max"`` (``F``) or ``"min"`` (``G``); ``until(left, right,
+    length, interval, cfg)``.  Recursion stays inside this function, so a
+    wrapper around an engine's entry point sees one call per trace.
     """
+    def rec(g: Formula) -> Var:
+        return walk(g, channels, length, cfg, ev_always, until, smooth_binding)
+
     if isinstance(f, TrueFormula):
         batch = next(iter(channels.values())).data.shape[:-1] if channels else ()
         return Var(np.full(batch + (length,), cfg.top_value))
@@ -322,25 +330,33 @@ def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsC
             return x - f.threshold
         return tape.neg(x) + f.threshold
     if isinstance(f, Not):
-        return tape.neg(trace_var(f.arg, channels, length, cfg, smooth_binding))
-    if isinstance(f, (And, Or)):
-        left = trace_var(f.left, channels, length, cfg, smooth_binding)
-        right = trace_var(f.right, channels, length, cfg, smooth_binding)
-        kind = "min" if isinstance(f, And) else "max"
-        return _reduce(tape.stack_last([left, right]), kind, cfg)
+        return tape.neg(rec(f.arg))
+    if isinstance(f, And):
+        return tape.pair_smooth_min(rec(f.left), rec(f.right), cfg.mode)
+    if isinstance(f, Or):
+        return tape.pair_smooth_max(rec(f.left), rec(f.right), cfg.mode)
     if isinstance(f, (Eventually, Always)):
-        child = trace_var(f.arg, channels, length, cfg, smooth_binding)
-        kind = "max" if isinstance(f, Eventually) else "min"
+        child = rec(f.arg)
         weights = None
         if isinstance(f.interval, SmoothInterval) and smooth_binding is not None:
             a, b, c = smooth_binding
             weights = smooth_weights_var(a, b, c, f.interval.eps, length)
-        return _ev_always_var(child, length, f.interval, cfg, kind, smooth_weights=weights)
+        kind = "max" if isinstance(f, Eventually) else "min"
+        return ev_always(child, length, f.interval, cfg, kind, weights)
     if isinstance(f, Until):
-        left = trace_var(f.left, channels, length, cfg, smooth_binding)
-        right = trace_var(f.right, channels, length, cfg, smooth_binding)
-        return _until_var(left, right, length, f.interval, cfg)
+        return until(rec(f.left), rec(f.right), length, f.interval, cfg)
     raise TypeError(f"not a Formula node: {f!r}")
+
+
+def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
+              smooth_binding=None) -> Var:
+    """Masked robustness trace as a tape variable; shape ``(..., length)``.
+
+    ``channels`` may carry leading batch axes.  ``smooth_binding``, when
+    given, is an ``(a, b, c)`` triple (floats or :class:`Var`) substituted for
+    the parameters of every smooth-interval node in ``f``.
+    """
+    return walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_binding)
 
 
 def _channel_vars(signals: NamedSignals) -> dict[str, Var]:

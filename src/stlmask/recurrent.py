@@ -13,6 +13,10 @@ values entering the recurrence earlier (later in time) get softened on every
 subsequent step, so untimed softmax traces intentionally drift away from the
 masked engine.  New elements always enter a pairwise reduction as the later
 operand.
+
+Predicates and boolean connectives come from the shared formula walker,
+:func:`stlmask.masking.walk`; this module supplies only the ``F``/``G`` and
+``U`` kernels.
 """
 
 from __future__ import annotations
@@ -22,20 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tape
-from .core import NamedSignals, SemanticsConfig, SmoothInterval, ValidationError, window_size
-from .formula import (
-    Always,
-    And,
-    Eventually,
-    Formula,
-    Not,
-    Or,
-    Pred,
-    TrueFormula,
-    Until,
-    validate_against,
-)
+from . import masking, tape
+from .core import Hard, NamedSignals, SemanticsConfig, SmoothInterval, ValidationError, window_size
+from .formula import Formula, validate_against
 from .tape import Var
 
 __all__ = ["HiddenState", "trace_recurrent", "trace_var_recurrent"]
@@ -63,8 +56,7 @@ class HiddenState:
 def _reduce(values, kind: str, cfg: SemanticsConfig) -> Var:
     values = list(values)
     if len(values) == 2:
-        # one node instead of a stack+reduce composite; the recurrences call
-        # this once or twice per timestep
+        # a two-entry window is one pair node instead of stack + reduce
         pair = tape.pair_smooth_max if kind == "max" else tape.pair_smooth_min
         return pair(values[0], values[1], cfg.mode)
     stacked = tape.stack_last(values)
@@ -73,28 +65,22 @@ def _reduce(values, kind: str, cfg: SemanticsConfig) -> Var:
     return tape.smooth_min(stacked, cfg.mode)
 
 
-def _pad_value(child: Var, length: int, cfg: SemanticsConfig) -> Var:
-    if cfg.padding.kind == "last":
-        return tape.index_last(child, length - 1)
-    return Var(np.full(child.data.shape[:-1], cfg.padding.value))
-
-
-def _hard_min_pair(x: Var, y: Var) -> Var:
-    return tape.neg(tape.hard_max(tape.stack_last([tape.neg(x), tape.neg(y)])))
-
-
-def _ev_always_rec(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str) -> Var:
+def _ev_always_rec(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
+                   smooth_weights=None) -> Var:
+    if isinstance(iv, SmoothInterval):
+        raise TypeError("the recurrent engine does not support smooth intervals")
     out: list = [None] * length
     if iv is None:
+        pair = tape.pair_smooth_max if kind == "max" else tape.pair_smooth_min
         running = tape.index_last(child, length - 1)
         out[length - 1] = running
         for t in range(length - 2, -1, -1):
-            running = _reduce([running, tape.index_last(child, t)], kind, cfg)
+            running = pair(running, tape.index_last(child, t), cfg.mode)
             out[t] = running
         return tape.stack_last(out)
     # entries whose window overruns the end take the padding value; for the
     # rest the buffer holds real samples only
-    pad = _pad_value(child, length, cfg)
+    pad = masking.pad_value(child, length, cfg)
     state = HiddenState(window_size(iv))
     for t in range(length - 1, -1, -1):
         if t + iv.b > length - 1:
@@ -111,6 +97,8 @@ def _ev_always_rec(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str)
 
 def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
     out: list = [None] * length
+    # looked up once: the loops below call it for every timestep and offset
+    pair_min, mode = tape.pair_smooth_min, cfg.mode
     if iv is None:
         phi = HiddenState(length)
         psi = HiddenState(length)
@@ -121,13 +109,13 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
             terms = []
             # iterate rather than index: deque access by position is O(i)
             for i, (phi_i, psi_i) in enumerate(zip(phi.values, psi.values)):
-                pm = phi_i if i == 0 else _reduce([pm, phi_i], "min", cfg)
-                terms.append(_reduce([pm, psi_i], "min", cfg))
+                pm = phi_i if i == 0 else pair_min(pm, phi_i, mode)
+                terms.append(pair_min(pm, psi_i, mode))
             out[t] = _reduce(terms, "max", cfg) if len(terms) > 1 else terms[0]
         return tape.stack_last(out)
 
     count = window_size(iv)
-    pad = _hard_min_pair(_pad_value(left, length, cfg), _pad_value(right, length, cfg))
+    pad = pair_min(masking.pad_value(left, length, cfg), masking.pad_value(right, length, cfg), Hard())
     phi = HiddenState(iv.b + 1)   # times t .. t+b
     psi = HiddenState(count)      # times t+a .. t+b
     for t in range(length - 1, -1, -1):
@@ -146,12 +134,12 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
         psi_vals = list(psi.values)
         pm = phi_vals[0]
         for tau in range(1, iv.a + 1):
-            pm = _reduce([pm, phi_vals[tau]], "min", cfg)
+            pm = pair_min(pm, phi_vals[tau], mode)
         terms = []
         for k in range(count):
             if k > 0:
-                pm = _reduce([pm, phi_vals[iv.a + k]], "min", cfg)
-            terms.append(_reduce([pm, psi_vals[k]], "min", cfg))
+                pm = pair_min(pm, phi_vals[iv.a + k], mode)
+            terms.append(pair_min(pm, psi_vals[k], mode))
         out[t] = _reduce(terms, "max", cfg) if len(terms) > 1 else terms[0]
     return tape.stack_last(out)
 
@@ -159,32 +147,7 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 def trace_var_recurrent(f: Formula, channels: dict[str, Var], length: int,
                         cfg: SemanticsConfig) -> Var:
     """Recurrent robustness trace as a tape variable; shape ``(..., length)``."""
-    if isinstance(f, TrueFormula):
-        batch = next(iter(channels.values())).data.shape[:-1] if channels else ()
-        return Var(np.full(batch + (length,), cfg.top_value))
-    if isinstance(f, Pred):
-        x = channels[f.var]
-        if f.cmp in (">", ">="):
-            return x - f.threshold
-        return tape.neg(x) + f.threshold
-    if isinstance(f, Not):
-        return tape.neg(trace_var_recurrent(f.arg, channels, length, cfg))
-    if isinstance(f, (And, Or)):
-        left = trace_var_recurrent(f.left, channels, length, cfg)
-        right = trace_var_recurrent(f.right, channels, length, cfg)
-        kind = "min" if isinstance(f, And) else "max"
-        return _reduce([left, right], kind, cfg)
-    if isinstance(f, (Eventually, Always)):
-        if isinstance(f.interval, SmoothInterval):
-            raise TypeError("the recurrent engine does not support smooth intervals")
-        child = trace_var_recurrent(f.arg, channels, length, cfg)
-        kind = "max" if isinstance(f, Eventually) else "min"
-        return _ev_always_rec(child, length, f.interval, cfg, kind)
-    if isinstance(f, Until):
-        left = trace_var_recurrent(f.left, channels, length, cfg)
-        right = trace_var_recurrent(f.right, channels, length, cfg)
-        return _until_rec(left, right, length, f.interval, cfg)
-    raise TypeError(f"not a Formula node: {f!r}")
+    return masking.walk(f, channels, length, cfg, _ev_always_rec, _until_rec)
 
 
 def trace_recurrent(f: Formula, signals: NamedSignals,

@@ -6,15 +6,18 @@ differentiated with :func:`backward`.  Every node takes a creation sequence
 number, and a node's parents exist before it does, so descending sequence
 order is a topological order: ``backward`` collects the reachable nodes with
 one stack walk and calls their closures in that order (formula graphs can
-reach hundreds of thousands of nodes, so no recursion).  Reductions always
+reach hundreds of thousands of nodes, so no recursion).  Window reductions
 run along the last axis; leading axes act as batch dimensions.
 
-Hard max/min route the full subgradient to the first extremal entry in
-ascending index order.  Each smooth max/min is a single tape node: its
-forward pass factors out a detached maximum over the kept entries before
-exponentiation, so large temperatures cannot overflow, and its closure
-routes the analytic gradient to the input and, when they are taped, to the
-weights.
+Each window max/min (``_hard_reduce``, ``_smooth_reduce``) and each
+elementwise two-operand max/min (``_pair_reduce``) is a single tape node,
+built by one implementation per shape that takes the direction as a sign;
+the suffix scans express min as a negated max.  Hard reductions route the
+full subgradient to the first extremal entry in ascending index order, or to
+the first operand on a pairwise tie.  Smooth window reductions factor out a
+detached maximum over the kept entries before exponentiation, so large
+temperatures cannot overflow, and route the analytic gradient to the input
+and, when they are taped, to the weights.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import smoothing
 from .core import EmptyWindowError, Hard, LogSumExp, Mode, SoftMax
 
 __all__ = [
@@ -203,11 +207,8 @@ def log(a) -> Var:
 
 def sigmoid(a) -> Var:
     a = as_var(a)
-    z = a.data
-    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: never overflows
-    ez = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
-    out = Var(s, (a,))
+    out = Var(smoothing.sigmoid(a.data), (a,))
+    s = out.data
     out._vjp = lambda g: _accum(a, g * s * (1.0 - s))
     return out
 
@@ -344,16 +345,17 @@ def _weight_data(weights):
     return weights.data if isinstance(weights, Var) else np.asarray(weights, dtype=np.float64)
 
 
-def hard_max(a, weights=None) -> Var:
-    """Exact max over kept entries; one-hot subgradient at the first argmax.
+def _hard_reduce(a: Var, weights, sign: float) -> Var:
+    """``sign * reduce-max(sign * a)`` exactly, one node.
 
     ``weights`` only select which entries participate (``> 0`` keeps); they
-    receive no gradient in hard mode.
+    receive no gradient.  The subgradient is one-hot at the first extremal
+    kept entry.
     """
-    a = as_var(a)
     w = _weight_data(weights)
-    masked = a.data if w is None else np.where(w > 0, a.data, -np.inf)
-    sel = np.argmax(masked, axis=-1)
+    fill, pick = (-np.inf, np.argmax) if sign > 0 else (np.inf, np.argmin)
+    masked = a.data if w is None else np.where(w > 0, a.data, fill)
+    sel = pick(masked, axis=-1)
     data = np.take_along_axis(masked, sel[..., None], axis=-1)[..., 0]
     if not np.all(np.isfinite(data)):
         raise EmptyWindowError("hard reduction over a window with no kept entries")
@@ -364,6 +366,11 @@ def hard_max(a, weights=None) -> Var:
         _accum(a, acc)
     out._vjp = vjp
     return out
+
+
+def hard_max(a, weights=None) -> Var:
+    """Exact max over kept entries; one-hot subgradient at the first argmax."""
+    return _hard_reduce(as_var(a), weights, 1.0)
 
 
 def _smooth_reduce(a: Var, mode: Mode, weights, sign: float) -> Var:
@@ -430,89 +437,61 @@ def smooth_min(a, mode: Mode, weights=None) -> Var:
     """Min-reduction along the last axis: ``-smooth_max(-a)``."""
     a = as_var(a)
     if isinstance(mode, Hard):
-        return neg(hard_max(neg(a), weights))
+        return _hard_reduce(a, weights, -1.0)
     return _smooth_reduce(a, mode, weights, -1.0)
 
 
-def pair_smooth_max(a, b, mode: Mode) -> Var:
-    """Elementwise two-operand reduction; equal to stacking then reducing.
+def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:
+    """``sign * max(sign * a, sign * b)`` elementwise under ``mode``, one node.
 
-    Kept as a single node because the recurrent engine calls it once per
-    timestep; ties in hard mode go to the first operand.
+    Hard ties go to the first operand.  With ``st = sign * tau``, log-sum-exp
+    is ``logaddexp(st * a, st * b) / st`` with d/da = ``exp(st * (a - out))``,
+    and softmax averages the operands with weights ``exp(st * (x - m))``,
+    ``m`` their max (sign +1) or min (sign -1), with
+    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.
     """
     a, b = as_var(a), as_var(b)
+    x, y = a.data, b.data
     if isinstance(mode, Hard):
-        first = a.data >= b.data
-        out = Var(np.where(first, a.data, b.data), (a, b))
-        def vjp_hard(g):
-            _accum(a, _unbroadcast(g * first, a.data.shape))
-            _accum(b, _unbroadcast(g * ~first, b.data.shape))
-        out._vjp = vjp_hard
+        first = x >= y if sign > 0 else x <= y
+        out = Var(np.where(first, x, y), (a, b))
+        out._vjp = lambda g: _accum_pair(a, b, g * first, g * ~first)
         return out
-    tau = mode.temp
     if isinstance(mode, LogSumExp):
-        data = np.logaddexp(tau * a.data, tau * b.data) / tau
-        wa = np.exp(tau * (a.data - data))
-        wb = np.exp(tau * (b.data - data))
+        st = sign * mode.temp
+        data = np.logaddexp(st * x, st * y) / st
+        wa = np.exp(st * (x - data))
+        wb = np.exp(st * (y - data))
         out = Var(data, (a, b))
-        def vjp_lse(g):
-            _accum(a, _unbroadcast(g * wa, a.data.shape))
-            _accum(b, _unbroadcast(g * wb, b.data.shape))
-        out._vjp = vjp_lse
+        out._vjp = lambda g: _accum_pair(a, b, g * wa, g * wb)
         return out
     if isinstance(mode, SoftMax):
-        m = np.maximum(a.data, b.data)
-        ea = np.exp(tau * (a.data - m))
-        eb = np.exp(tau * (b.data - m))
+        st = sign * mode.temp
+        m = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
+        ea = np.exp(st * (x - m))
+        eb = np.exp(st * (y - m))
         den = ea + eb
-        data = (a.data * ea + b.data * eb) / den
+        data = (x * ea + y * eb) / den
         out = Var(data, (a, b))
-        def vjp_soft(g):
-            ga = g * (ea / den) * (1.0 + tau * (a.data - data))
-            gb = g * (eb / den) * (1.0 + tau * (b.data - data))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-            _accum(b, _unbroadcast(gb, b.data.shape))
-        out._vjp = vjp_soft
+        out._vjp = lambda g: _accum_pair(a, b, g * (ea / den) * (1.0 + st * (x - data)),
+                                         g * (eb / den) * (1.0 + st * (y - data)))
         return out
     raise TypeError(f"unsupported mode: {mode!r}")
+
+
+def _accum_pair(a: Var, b: Var, ga: np.ndarray, gb: np.ndarray):
+    _accum(a, _unbroadcast(ga, a.data.shape))
+    _accum(b, _unbroadcast(gb, b.data.shape))
+
+
+def pair_smooth_max(a, b, mode: Mode) -> Var:
+    """Elementwise max of two operands; equal to stacking then reducing."""
+    return _pair_reduce(a, b, mode, 1.0)
 
 
 def pair_smooth_min(a, b, mode: Mode) -> Var:
-    a, b = as_var(a), as_var(b)
-    if isinstance(mode, Hard):
-        first = a.data <= b.data
-        out = Var(np.where(first, a.data, b.data), (a, b))
-        def vjp_hard(g):
-            _accum(a, _unbroadcast(g * first, a.data.shape))
-            _accum(b, _unbroadcast(g * ~first, b.data.shape))
-        out._vjp = vjp_hard
-        return out
-    tau = mode.temp
-    if isinstance(mode, LogSumExp):
-        data = -np.logaddexp(-tau * a.data, -tau * b.data) / tau
-        wa = np.exp(tau * (data - a.data))
-        wb = np.exp(tau * (data - b.data))
-        out = Var(data, (a, b))
-        def vjp_lse(g):
-            _accum(a, _unbroadcast(g * wa, a.data.shape))
-            _accum(b, _unbroadcast(g * wb, b.data.shape))
-        out._vjp = vjp_lse
-        return out
-    if isinstance(mode, SoftMax):
-        m = np.minimum(a.data, b.data)
-        ea = np.exp(-tau * (a.data - m))
-        eb = np.exp(-tau * (b.data - m))
-        den = ea + eb
-        data = (a.data * ea + b.data * eb) / den
-        out = Var(data, (a, b))
-        def vjp_soft(g):
-            ga = g * (ea / den) * (1.0 - tau * (a.data - data))
-            gb = g * (eb / den) * (1.0 - tau * (b.data - data))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-            _accum(b, _unbroadcast(gb, b.data.shape))
-        out._vjp = vjp_soft
-        return out
-    raise TypeError(f"unsupported mode: {mode!r}")
+    """Elementwise min of two operands; equal to stacking then reducing."""
+    return _pair_reduce(a, b, mode, -1.0)
 
 
 def _suffix_hard_max(a: Var) -> Var:

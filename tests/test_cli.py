@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stlmask import masking
 from stlmask.cli import main
 from stlmask.core import NamedSignals
 from stlmask.fileio import (
@@ -220,6 +221,59 @@ class TestPlanCommand:
             assert run_cli("plan", "--config", str(cfgp), "--seed", "7") == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestErrorReporting:
+    @pytest.mark.parametrize("command, text", [
+        ("plan", "start = 1"),
+        ("plan", "target_box = 1,2"),
+        ("plan", "init_interval = 0.2,1.5"),
+        ("plan", "dt = 0"),
+        ("plan", "control_init_scale = -1"),
+        ("plan", "temp_anneal = linear:0:5"),
+        ("mine", "init_interval = 0,0.5"),
+        ("mine", "eps = 0.7"),
+        ("mine", "sharp_anneal = constant:-1"),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, text):
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(text + "\nsteps = 2\n")
+        extra = ("--generate", "0") if command == "mine" else ()
+        assert run_cli(command, "--config", str(cfgp), *extra) == 2
+        assert text.split(" =")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("eval", "s > 0", str(DATA / "example1.csv"), "--mode", "lse", "--temp", "0"),
+        ("eval", "s > 0", str(DATA / "example1.csv"), "--padding", "const:abc"),
+        ("bench", "--sizes", "8,x"),
+        ("bench", "--batch", "0"),
+        ("plan", "--seed", "-1"),
+        ("mine", "--generate", "-1"),
+        ("mine", "--generate", "0", "--contour=0x3"),
+        ("mine", "--generate", "0", "--contour=-1x3"),
+    ])
+    def test_bad_flag_value_is_config_error(self, args):
+        assert run_cli(*args) == 2
+
+    @pytest.mark.parametrize("name, content", [
+        ("bin.csv", b"\xff\xfes\n1\n"),
+        ("t_step.csv", b"t,s\n-1e308,1\n1e308,2\n"),
+        ("bin.cfg", b"steps = 3\n\xff\n"),
+    ])
+    def test_unreadable_input_file_is_config_error(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        if name.endswith(".cfg"):
+            assert run_cli("plan", "--config", str(path)) == 2
+        else:
+            assert run_cli("eval", "s > 0", str(path)) == 2
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("internal bug")
+        monkeypatch.setattr(masking, "robustness_trace", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            run_cli("eval", "s > 0", str(DATA / "example1.csv"))
 
 
 class TestEntryPoint:

@@ -16,6 +16,7 @@ from stlmask.formula import (
     parse,
     temporal_depth,
     validate_against,
+    variables,
 )
 
 
@@ -133,3 +134,44 @@ class TestQueries:
         assert "0.2" in text and "0.6" in text
         with pytest.raises(ParseError):
             parse(text)
+
+    def test_variables_and_depth_reject_non_formula(self):
+        with pytest.raises(TypeError):
+            variables("x > 0")
+        with pytest.raises(TypeError):
+            variables(Not("x > 0"))
+        with pytest.raises(TypeError):
+            temporal_depth(And(Pred("x", ">", 0.0), 3))
+
+
+P, Q = Pred("x", ">", 1.0), Pred("y", "<=", -2.5)
+EVERY_NODE = [
+    TRUE,
+    P,
+    Not(P),
+    And(P, Q),
+    Or(P, Q),
+    Eventually(P, StepInterval(1, 4)),
+    Always(P, SmoothInterval(0.2, 0.6, 8.0)),
+    Until(P, Q, StepInterval(0, 3)),
+    Until(P, Q),
+]
+
+
+class TestChildren:
+    @pytest.mark.parametrize("node", EVERY_NODE, ids=lambda n: type(n).__name__)
+    def test_round_trip(self, node):
+        kids = node.children()
+        assert node.replace_children(*kids) == node
+        swapped = node.replace_children(*(Not(k) for k in kids))
+        assert type(swapped) is type(node)
+        assert swapped.children() == tuple(Not(k) for k in kids)
+        # everything but the children is kept, e.g. the interval
+        assert swapped.replace_children(*kids) == node
+
+    def test_arity(self):
+        assert [len(n.children()) for n in EVERY_NODE] == [0, 0, 1, 2, 2, 1, 1, 2, 2]
+        with pytest.raises(ValueError):
+            And(P, Q).replace_children(P)
+        with pytest.raises(ValueError):
+            TRUE.replace_children(P)

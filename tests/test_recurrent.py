@@ -13,9 +13,10 @@ from stlmask.core import (
     SoftMax,
 )
 from stlmask.formula import Always, Pred, parse
-from stlmask.masking import robustness_trace
-from stlmask.recurrent import HiddenState, trace_recurrent
+from stlmask.masking import robustness_trace, trace_var
+from stlmask.recurrent import HiddenState, trace_recurrent, trace_var_recurrent
 from stlmask.reference import trace_ref
+from stlmask.tape import Var, backward
 
 S8 = NamedSignals.from_arrays({"s": np.arange(8.0)})
 
@@ -59,6 +60,24 @@ class TestEquivalence:
         cfg = SemanticsConfig(mode=LogSumExp(10.0))
         np.testing.assert_allclose(trace_recurrent(f, sig, cfg),
                                    robustness_trace(f, sig, cfg), atol=1e-9)
+
+    def test_lse_gradients_equal_masking_random(self):
+        # both engines are exact reverse-mode passes of the same function
+        rng = np.random.default_rng(46)
+        largest = 0.0
+        for _ in range(150):
+            f, signals = equivalence_case(rng)
+            cfg = corpus_config(rng, LogSumExp(float(rng.choice([1.0, 5.0, 20.0]))))
+            cotangent = rng.normal(0, 1, signals.length)
+            grads = []
+            for build in (trace_var, trace_var_recurrent):
+                channels = {name: Var(signals[name].values) for name in signals.names()}
+                backward(build(f, channels, signals.length, cfg), cotangent)
+                grads.append(np.stack([np.zeros(signals.length) if v.grad is None else v.grad
+                                       for v in channels.values()]))
+            np.testing.assert_allclose(grads[1], grads[0], rtol=0, atol=1e-9)
+            largest = max(largest, float(np.max(np.abs(grads[0]))))
+        assert largest > 0.1
 
     def test_smooth_interval_rejected(self):
         f = Always(Pred("s", ">", 0.0), SmoothInterval(0.2, 0.8, 4.0))

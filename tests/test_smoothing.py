@@ -178,3 +178,17 @@ class TestAnneal:
         assert sigmoid(0.0) == 0.5
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == 0.0
+
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        # 1/(1+exp(-z)) on z >= 0 and exp(z)/(1+exp(z)) below, branch by branch
+        z = np.concatenate([np.linspace(-750.0, 750.0, 3001), [0.0, -0.0, 1e-300, -1e-300],
+                            np.random.default_rng(9).normal(0, 30, 500)])
+        pos = z >= 0
+        expect = np.empty_like(z)
+        expect[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expect[~pos] = ez / (1.0 + ez)
+        assert np.array_equal(sigmoid(z), expect)
+        e = np.exp(-3.7)
+        assert sigmoid(-3.7) == e / (1.0 + e)
+        assert isinstance(sigmoid(-3.7), float)

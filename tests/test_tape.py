@@ -241,6 +241,112 @@ class TestFusedSmoothReduction:
                 reduce(x, mode, weights=w)
 
 
+def old_pair(a, b, g, mode, sign):
+    """``pair_smooth_max`` (sign=1) / ``pair_smooth_min`` (sign=-1) as two
+    separate mirror-image bodies, written out in numpy: value and the
+    un-reduced cotangents to both operands."""
+    if isinstance(mode, Hard):
+        first = a >= b if sign > 0 else a <= b
+        return np.where(first, a, b), g * first, g * ~first
+    tau = mode.temp
+    if isinstance(mode, LogSumExp):
+        if sign > 0:
+            data = np.logaddexp(tau * a, tau * b) / tau
+            return data, g * np.exp(tau * (a - data)), g * np.exp(tau * (b - data))
+        data = -np.logaddexp(-tau * a, -tau * b) / tau
+        return data, g * np.exp(tau * (data - a)), g * np.exp(tau * (data - b))
+    if sign > 0:
+        m = np.maximum(a, b)
+        ea, eb = np.exp(tau * (a - m)), np.exp(tau * (b - m))
+    else:
+        m = np.minimum(a, b)
+        ea, eb = np.exp(-tau * (a - m)), np.exp(-tau * (b - m))
+    den = ea + eb
+    data = (a * ea + b * eb) / den
+    if sign > 0:
+        return (data, g * (ea / den) * (1.0 + tau * (a - data)),
+                g * (eb / den) * (1.0 + tau * (b - data)))
+    return (data, g * (ea / den) * (1.0 - tau * (a - data)),
+            g * (eb / den) * (1.0 - tau * (b - data)))
+
+
+def old_hard_min(a, weights, g):
+    """Hard ``smooth_min`` as ``neg(hard_max(neg(a), weights))``, in numpy."""
+    masked = -a if weights is None else np.where(weights > 0, -a, -np.inf)
+    sel = np.argmax(masked, axis=-1)[..., None]
+    grad = np.zeros_like(a)
+    np.put_along_axis(grad, sel, g[..., None], axis=-1)  # the two negations cancel
+    return -np.take_along_axis(masked, sel, axis=-1)[..., 0], grad
+
+
+def summed_to(g, shape):
+    return g if g.shape == shape else g.sum(axis=0)
+
+
+PAIR_MODES = [Hard()] + [m(t) for m in (LogSumExp, SoftMax) for t in (0.5, 3.0, 100.0)]
+
+
+class TestPairPrimitiveDifferential:
+    """The sign-parameterised primitives reproduce the old bodies bit for bit."""
+
+    @staticmethod
+    def operands(rng, case):
+        if case == "ties":
+            return (rng.integers(0, 3, (4, 9)).astype(float),
+                    rng.integers(0, 3, (4, 9)).astype(float))
+        if case == "batch_vs_row":
+            return rng.normal(0, 2, (4, 9)), rng.integers(0, 2, 9).astype(float)
+        if case == "row_vs_batch":
+            return rng.normal(0, 2, 9), rng.normal(0, 2, (4, 9))
+        return rng.normal(0, 2, (4, 9)), rng.normal(0, 2, (4, 9))
+
+    @pytest.mark.parametrize("mode", PAIR_MODES)
+    @pytest.mark.parametrize("case", ["random", "ties", "batch_vs_row", "row_vs_batch"])
+    @pytest.mark.parametrize("pair, sign", [(tape.pair_smooth_max, 1.0), (tape.pair_smooth_min, -1.0)])
+    def test_values_and_grads_bit_identical(self, pair, sign, case, mode):
+        rng = np.random.default_rng(17)
+        a0, b0 = self.operands(rng, case)
+        g = rng.normal(0, 1, np.broadcast(a0, b0).shape)
+        a, b = Var(a0), Var(b0)
+        out = pair(a, b, mode)
+        backward(out, g)
+        data, ga, gb = old_pair(a0, b0, g, mode, sign)
+        assert np.array_equal(out.data, data)
+        assert np.array_equal(a.grad, summed_to(ga, a0.shape))
+        assert np.array_equal(b.grad, summed_to(gb, b0.shape))
+
+    def test_hard_ties_go_to_first_operand(self):
+        for pair in (tape.pair_smooth_max, tape.pair_smooth_min):
+            a, b = Var(np.array([2.0, 1.0])), Var(np.array([2.0, 1.0]))
+            backward(pair(a, b, Hard()))
+            np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+            np.testing.assert_array_equal(b.grad, [0.0, 0.0])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_hard_smooth_min_bit_identical(self, weighted, ties):
+        rng = np.random.default_rng(18)
+        x0 = rng.integers(0, 3, (5, 8)).astype(float) if ties else rng.normal(0, 2, (5, 8))
+        w = None
+        if weighted:
+            w = (rng.random(8) > 0.4).astype(float)
+            w[3] = 1.0
+        g = rng.normal(0, 1, 5)
+        x = Var(x0)
+        out = tape.smooth_min(x, Hard(), w)
+        backward(out, g)
+        data, grad = old_hard_min(x0, w, g)
+        assert np.array_equal(out.data, data)
+        assert np.array_equal(x.grad, grad)
+
+    def test_hard_smooth_min_is_one_node(self):
+        x = Var(np.array([3.0, 1.0, 1.0]))
+        out = tape.smooth_min(x, Hard())
+        assert out._parents == (x,)
+        with pytest.raises(EmptyWindowError):
+            tape.smooth_min(x, Hard(), weights=np.zeros(3))
+
+
 class TestSuffixReductions:
     @pytest.mark.parametrize("mode", [Hard(), LogSumExp(1.0), LogSumExp(15.0)])
     def test_matches_per_window_reduction(self, mode):
