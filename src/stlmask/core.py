@@ -234,8 +234,8 @@ class SoftMax:
     temp: float = 1.0
 
     def __post_init__(self):
-        if not self.temp > 0:
-            raise ValueError(f"temperature must be positive, got {self.temp}")
+        if not 0 < self.temp < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temp}")
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,8 @@ class LogSumExp:
     temp: float = 1.0
 
     def __post_init__(self):
-        if not self.temp > 0:
-            raise ValueError(f"temperature must be positive, got {self.temp}")
+        if not 0 < self.temp < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temp}")
 
 
 Mode = Union[Hard, SoftMax, LogSumExp]

@@ -25,6 +25,7 @@ and are not part of the text DSL, so they do not round-trip through
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
@@ -107,6 +108,8 @@ class Pred(Formula):
             raise ValueError(f"predicate variable must be an identifier, got {self.var!r}")
         if self.cmp not in _COMPARATORS:
             raise ValueError(f"comparator must be one of {_COMPARATORS}, got {self.cmp!r}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"predicate threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,10 @@ class _Parser:
                 cmp_tok.col,
             )
         num = self.expect("number")
-        return Pred(name.text, cmp_tok.text, float(num.text))
+        threshold = float(num.text)
+        if not math.isfinite(threshold):
+            raise ParseError(f"predicate threshold {num.text} is not a finite float", num.line, num.col)
+        return Pred(name.text, cmp_tok.text, threshold)
 
     def parse_interval_opt(self) -> Optional[StepInterval]:
         if self.peek().kind != "[":

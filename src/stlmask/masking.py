@@ -3,26 +3,26 @@
 Every trace entry is computed at once: the child trace is padded, unrolled so
 that column ``t`` holds the subsignal starting at ``t``, and a boolean mask
 selects the window entries, which a single min/max (or smooth) reduction then
-collapses column-wise.  Until unrolls one extra dimension: for each window
-offset ``i`` the prefix of the left trace and the single right value are
-reduced separately, paired, and the results max-reduced across offsets.
+collapses column-wise.  Until gathers the left and right windows of every
+start index at once, takes the left prefix mins across window offsets, pairs
+each with the right value at that offset, and max-reduces across offsets.
 
 The dispatch over formula nodes is :func:`walk`, shared with the recurrent
 engine: the two tape engines differ only in the ``F``/``G`` and ``U`` kernels
 they pass in.  Boolean connectives and until's pairings are one
 ``tape.pair_smooth_min``/``pair_smooth_max`` node each.
 
-The implementation streams columns and window slices instead of materializing
-the full unrolled arrays; tests check it against materialized mask reductions.
-Two shortcuts keep the streaming path cheap without changing results:
+The implementation gathers windows with ``tape.take_last`` instead of
+materializing mask products; tests check it against materialized mask
+reductions.  Running reductions are one ``tape.cum_reduce`` node in hard and
+log-sum-exp mode, exact for hard and equal by associativity of log-sum-exp:
 
-* untimed eventually/always in hard and log-sum-exp mode use suffix scans
-  (exact for hard; log-sum-exp flattens recursive application by identity),
-* until prefix reductions in hard and log-sum-exp mode grow incrementally
-  across slices by the same identity.
+* untimed eventually/always are suffix scans of the child trace,
+* until's left prefix mins are one prefix scan along the gathered window
+  axis, so an until node has the same number of tape nodes at any length.
 
 Softmax mode has no such identity, so it always reduces each window in a
-single application.
+single application, and until stacks one window reduction per offset.
 
 Padding rule: a trace entry whose window overruns the signal end is replaced
 by the padding-derived constant (for until, the hard min of the two child
@@ -227,9 +227,7 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
             keep = pos <= length - 1
             win = tape.take_last(child, np.minimum(pos, length - 1))
             return _reduce(win, kind, cfg, weights=keep.astype(np.float64))
-        if kind == "max":
-            return tape.suffix_smooth_max(child, cfg.mode)
-        return tape.suffix_smooth_min(child, cfg.mode)
+        return tape.cum_reduce(child, cfg.mode, 1.0 if kind == "max" else -1.0, reverse=True)
 
     padded = _pad_var(child, iv.b, length, cfg)
     if cfg.masked_fill:
@@ -268,27 +266,17 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
             stacked = tape.mask_fill(stacked, outer_keep, -cfg.sentinel)
         return _reduce(stacked, "max", cfg)
 
-    incremental = not isinstance(cfg.mode, SoftMax)
-    terms = []
-    pm = None
-    for k in range(count):
-        end = np.minimum(t + a + k, last)
-        if incremental:
-            lv = tape.take_last(lp, end)
-            if pm is None:
-                if a == 0:
-                    pm = lv
-                else:
-                    idx = np.minimum(t[:, None] + np.arange(a + 1)[None, :], last)
-                    pm = _reduce(tape.take_last(lp, idx), "min", cfg)
-            else:
-                pm = tape.pair_smooth_min(pm, lv, cfg.mode)
-        else:
-            idx = np.minimum(t[:, None] + np.arange(a + k + 1)[None, :], last)
-            pm = _reduce(tape.take_last(lp, idx), "min", cfg)
-        rv = tape.take_last(rp, end)
-        terms.append(tape.pair_smooth_min(pm, rv, cfg.mode))
-    stacked = tape.stack_last(terms)
+    # column j of row t holds sample t + j of the left window; the prefix
+    # min up to column a + k is the left reduction of window offset k
+    idx = np.minimum(t[:, None] + np.arange(a + count)[None, :], last)
+    if isinstance(cfg.mode, SoftMax):
+        pm = tape.stack_last([_reduce(tape.take_last(lp, idx[:, :a + k + 1]), "min", cfg)
+                              for k in range(count)])
+    else:
+        pm = tape.cum_reduce(tape.take_last(lp, idx), cfg.mode, -1.0)
+        if a > 0:
+            pm = tape.take_last(pm, np.arange(a, a + count))
+    stacked = tape.pair_smooth_min(pm, tape.take_last(rp, idx[:, a:]), cfg.mode)
     weights = outer_keep.astype(np.float64) if outer_keep is not None else None
     out = _reduce(stacked, "max", cfg, weights=weights)
     if iv is None:

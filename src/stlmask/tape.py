@@ -9,15 +9,17 @@ one stack walk and calls their closures in that order (formula graphs can
 reach hundreds of thousands of nodes, so no recursion).  Window reductions
 run along the last axis; leading axes act as batch dimensions.
 
-Each window max/min (``_hard_reduce``, ``_smooth_reduce``) and each
-elementwise two-operand max/min (``_pair_reduce``) is a single tape node,
-built by one implementation per shape that takes the direction as a sign;
-the suffix scans express min as a negated max.  Hard reductions route the
-full subgradient to the first extremal entry in ascending index order, or to
-the first operand on a pairwise tie.  Smooth window reductions factor out a
-detached maximum over the kept entries before exponentiation, so large
-temperatures cannot overflow, and route the analytic gradient to the input
-and, when they are taped, to the weights.
+Each window max/min (``_hard_reduce``, ``_smooth_reduce``), each running
+max/min along the last axis (``cum_reduce``, a prefix or suffix scan) and
+each elementwise two-operand max/min (``_pair_reduce``) is a single tape
+node, built by one implementation per shape that takes the direction as a
+sign.  Hard reductions route the full subgradient to the first extremal entry
+of the window in ascending index order, or to the first operand on a pairwise
+tie.  Gathers and hard scans scatter their gradient back with one flattened
+``np.bincount``.  Smooth window reductions factor out a detached maximum over
+the kept entries before exponentiation, so large temperatures cannot
+overflow, and route the analytic gradient to the input and, when they are
+taped, to the weights.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ __all__ = [
     "smooth_min",
     "pair_smooth_max",
     "pair_smooth_min",
-    "suffix_smooth_max",
-    "suffix_smooth_min",
+    "cum_reduce",
 ]
 
 
@@ -312,26 +313,21 @@ def index_last(a, i: int) -> Var:
     return out
 
 
+def _scatter_last(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
+    """Zeros of ``shape`` plus ``g`` summed in at last-axis positions ``idx``
+    (shared by all leading axes, or one per entry of ``g``): one bincount."""
+    size = int(np.prod(shape, dtype=np.intp))
+    rows = np.arange(0, size, shape[-1], dtype=np.intp)
+    flat = rows.reshape(shape[:-1] + (1,) * (g.ndim - len(shape) + 1)) + idx
+    return np.bincount(flat.ravel(), weights=g.ravel(), minlength=size).reshape(shape)
+
+
 def take_last(a, idx: np.ndarray) -> Var:
     """Gather along the last axis: ``out[..., *k] = a[..., idx[*k]]``."""
     a = as_var(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = Var(np.take(a.data, idx, axis=-1), (a,))
-    def vjp(g):
-        width = a.data.shape[-1]
-        rows = int(np.prod(a.data.shape[:-1], dtype=np.intp)) if a.data.ndim > 1 else 1
-        gflat = g.reshape(rows, idx.size)
-        if idx.size * width <= 1_000_000:
-            # scatter-add as a matmul; much faster than np.add.at for the
-            # small dense index sets the engines produce
-            scatter = np.zeros((idx.size, width))
-            scatter[np.arange(idx.size), idx.ravel()] = 1.0
-            acc = gflat @ scatter
-        else:
-            acc = np.zeros((rows, width))
-            np.add.at(acc, (np.arange(rows)[:, None], idx.ravel()[None, :]), gflat)
-        _accum(a, acc.reshape(a.data.shape))
-    out._vjp = vjp
+    out._vjp = lambda g: _accum(a, _scatter_last(g, idx, a.data.shape))
     return out
 
 
@@ -494,64 +490,68 @@ def pair_smooth_min(a, b, mode: Mode) -> Var:
     return _pair_reduce(a, b, mode, -1.0)
 
 
-def _suffix_hard_max(a: Var) -> Var:
-    x = a.data
-    data = np.flip(np.maximum.accumulate(np.flip(x, axis=-1), axis=-1), axis=-1)
-    length = x.shape[-1]
-    out = Var(data, (a,))
-    def vjp(g):
-        # selected index per suffix, first occurrence in ascending order;
-        # computed here so value-only evaluation skips the scan
-        sel = np.empty(x.shape, dtype=np.intp)
-        sel[..., -1] = length - 1
-        best_idx = np.full(x.shape[:-1], length - 1, dtype=np.intp)
-        best_val = x[..., -1].copy()
-        for t in range(length - 2, -1, -1):
-            upd = x[..., t] >= best_val
-            best_val = np.where(upd, x[..., t], best_val)
-            best_idx = np.where(upd, t, best_idx)
-            sel[..., t] = best_idx
-        rows = int(np.prod(x.shape[:-1], dtype=np.intp)) if x.ndim > 1 else 1
-        acc = np.zeros((rows, length))
-        np.add.at(acc, (np.arange(rows)[:, None], sel.reshape(rows, length)), g.reshape(rows, length))
-        _accum(a, acc.reshape(x.shape))
-    out._vjp = vjp
-    return out
+def _first_extremum(y: np.ndarray, run: np.ndarray, reverse: bool) -> np.ndarray:
+    """First argmax of each window of ``run``, the running max of ``y``.
+
+    Suffix: the first ``j >= t`` with ``y[j] == run[j]`` (max of its own
+    suffix).  Prefix: the last ``j <= t`` where ``y[j]`` raises the running max.
+    """
+    length = y.shape[-1]
+    pos = np.arange(length, dtype=np.intp)
+    if reverse:
+        rec = np.where(y == run, pos, length)
+        return np.flip(np.minimum.accumulate(np.flip(rec, axis=-1), axis=-1), axis=-1)
+    rises = np.concatenate([np.ones(y.shape[:-1] + (1,), dtype=bool),
+                            y[..., 1:] > run[..., :-1]], axis=-1)
+    return np.maximum.accumulate(np.where(rises, pos, 0), axis=-1)
 
 
-def _suffix_lse_max(a: Var, tau: float) -> Var:
-    x = a.data
-    scaled = np.flip(tau * x, axis=-1)
-    data = np.flip(np.logaddexp.accumulate(scaled, axis=-1), axis=-1) / tau
-    out = Var(data, (a,))
-    def vjp(g):
-        # d out_t / d x_j = exp(tau*(x_j - out_t)) for j >= t; accumulate the
-        # prefix sums with ratios exp(tau*(out_j - out_{j-1})) <= 1 for stability
-        length = x.shape[-1]
-        grad = np.empty_like(x)
-        acc = g[..., 0].copy()
-        grad[..., 0] = np.exp(tau * (x[..., 0] - data[..., 0])) * acc
-        for j in range(1, length):
-            acc = g[..., j] + np.exp(tau * (data[..., j] - data[..., j - 1])) * acc
-            grad[..., j] = np.exp(tau * (x[..., j] - data[..., j])) * acc
-        _accum(a, grad)
-    out._vjp = vjp
-    return out
+def _lse_cum_grad(g, y, run, tau: float, reverse: bool) -> np.ndarray:
+    """d/dy of ``run``, the running log-sum-exp max of ``y``: window sums of
+    ``exp(tau * (y_j - run_t))`` accumulated from the far end with ratios
+    ``exp(tau * (run_j - run_k)) <= 1``, so nothing overflows."""
+    if not reverse:
+        g, y, run = (np.flip(v, axis=-1) for v in (g, y, run))
+    grad = np.empty_like(y)
+    acc = g[..., 0].copy()
+    grad[..., 0] = np.exp(tau * (y[..., 0] - run[..., 0])) * acc
+    for j in range(1, y.shape[-1]):
+        acc = g[..., j] + np.exp(tau * (run[..., j] - run[..., j - 1])) * acc
+        grad[..., j] = np.exp(tau * (y[..., j] - run[..., j])) * acc
+    return grad if reverse else np.flip(grad, axis=-1)
 
 
-def suffix_smooth_max(a, mode: Mode) -> Var:
-    """``out[..., t] = reduce-max(a[..., t:])`` for hard and log-sum-exp modes.
+def cum_reduce(a, mode: Mode, sign: float, reverse: bool = False) -> Var:
+    """Running ``sign * reduce-max(sign * a)`` along the last axis, one node.
 
-    Softmax has no flattening identity, so callers must materialize windows
-    instead of using this shortcut.
+    ``out[..., t]`` reduces ``a[..., :t + 1]``, or ``a[..., t:]`` with
+    ``reverse``.  Hard mode is exact, with the first-extremum subgradient;
+    log-sum-exp scans with ``np.logaddexp`` (exact by associativity).
+    Softmax has no such identity and raises ``TypeError``.  The backward
+    pass rebuilds ``sign * a`` and the running max from the input and output.
     """
     a = as_var(a)
+
+    def scan(op, v):
+        if reverse:
+            return np.flip(op.accumulate(np.flip(v, axis=-1), axis=-1), axis=-1)
+        return op.accumulate(v, axis=-1)
+
+    # the closures hold the output array, not the node: a node referenced
+    # from its own vjp would form a cycle that keeps its graph alive
     if isinstance(mode, Hard):
-        return _suffix_hard_max(a)
-    if isinstance(mode, LogSumExp):
-        return _suffix_lse_max(a, mode.temp)
-    raise TypeError("suffix reductions are only defined for hard and log-sum-exp modes")
-
-
-def suffix_smooth_min(a, mode: Mode) -> Var:
-    return neg(suffix_smooth_max(neg(as_var(a)), mode))
+        data = scan(np.maximum if sign > 0 else np.minimum, a.data)
+        def vjp(g):
+            # the argmax scan runs only when a gradient is asked for
+            sel = _first_extremum(sign * a.data, sign * data, reverse)
+            _accum(a, _scatter_last(g, sel, a.data.shape))
+    elif isinstance(mode, LogSumExp):
+        tau = mode.temp
+        data = sign * (scan(np.logaddexp, (sign * tau) * a.data) / tau)
+        def vjp(g):
+            _accum(a, _lse_cum_grad(g, sign * a.data, sign * data, tau, reverse))
+    else:
+        raise TypeError("cumulative reductions are only defined for hard and log-sum-exp modes")
+    out = Var(data, (a,))
+    out._vjp = vjp
+    return out

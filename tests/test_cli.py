@@ -244,6 +244,7 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("args", [
         ("eval", "s > 0", str(DATA / "example1.csv"), "--mode", "lse", "--temp", "0"),
+        ("trace", "F (s > 0)", str(DATA / "example1.csv"), "--mode", "lse", "--temp", "inf"),
         ("eval", "s > 0", str(DATA / "example1.csv"), "--padding", "const:abc"),
         ("bench", "--sizes", "8,x"),
         ("bench", "--batch", "0"),
@@ -254,6 +255,17 @@ class TestErrorReporting:
     ])
     def test_bad_flag_value_is_config_error(self, args):
         assert run_cli(*args) == 2
+
+    @pytest.mark.parametrize("option", ["lse", "softmax"])
+    def test_infinite_temperature_names_it(self, capsys, option):
+        assert run_cli("trace", "F (s > 0)", str(DATA / "example1.csv"),
+                       "--mode", option, "--temp", "inf") == 2
+        assert "temperature" in capsys.readouterr().err
+
+    def test_infinite_threshold_is_parse_error(self, capsys):
+        assert run_cli("eval", "G[0,1] (s > 1e400)", str(DATA / "example1.csv")) == 2
+        err = capsys.readouterr().err
+        assert "threshold" in err and "column 13" in err
 
     @pytest.mark.parametrize("name, content", [
         ("bin.csv", b"\xff\xfes\n1\n"),

@@ -131,6 +131,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             LogSumExp(-1.0)
 
+    @pytest.mark.parametrize("mode", [SoftMax, LogSumExp])
+    @pytest.mark.parametrize("temp", [float("inf"), float("nan")])
+    def test_non_finite_temperature_rejected(self, mode, temp):
+        with pytest.raises(ValueError, match="temperature"):
+            mode(temp)
+
     def test_defaults(self):
         cfg = SemanticsConfig()
         assert isinstance(cfg.mode, Hard)

@@ -61,6 +61,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("U > 0")
 
+    @pytest.mark.parametrize("text, number", [("s > 1e400", "1e400"),
+                                              ("G[0,1] (s < -1e400)", "-1e400")])
+    def test_non_finite_threshold_has_position(self, text, number):
+        with pytest.raises(ParseError, match="threshold") as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, text.index(number) + 1)
+
+    @pytest.mark.parametrize("threshold", [float("inf"), -float("inf"), float("nan")])
+    def test_pred_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            Pred("s", ">", threshold)
+
 
 class TestFormat:
     @pytest.mark.parametrize("f,text", [

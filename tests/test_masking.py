@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,10 +29,12 @@ from stlmask.masking import (
     eventually_trace,
     robustness,
     robustness_trace,
+    trace_var,
     until_trace,
 )
 from stlmask.reference import trace_ref
 from stlmask.smoothing import smooth_max, smooth_min
+from stlmask.tape import Var, backward
 
 S8 = NamedSignals.from_arrays({"s": np.arange(8.0)})
 LAST = SemanticsConfig()
@@ -312,6 +317,29 @@ class TestRobustnessTrace:
         si = SmoothInterval(0.49, 0.51, 0.5, eps=0.3)
         with pytest.raises(EmptyWindowError):
             robustness_trace(Always(parse("s > 0"), si), sig, LAST)
+
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(5.0), SoftMax(2.0)])
+    @pytest.mark.parametrize("text", ["(x > 0) U (y > 0)", "(x > 0) U[2,4] (y > 0)",
+                                      "F G (x > 0)"])
+    def test_graph_is_freed_by_reference_counting(self, text, mode):
+        # a node reachable from its own vjp would keep the whole graph
+        # alive until the cycle collector runs
+        rng = np.random.default_rng(5)
+        channels = {name: Var(rng.normal(0, 1, (2, 12))) for name in ("x", "y")}
+        gc.disable()
+        try:
+            out = trace_var(parse(text), channels, 12, SemanticsConfig(mode=mode))
+            backward(out)
+            inner, stack = [], [out]
+            while stack:
+                node = stack.pop()
+                if node._vjp is not None:
+                    inner.append(weakref.ref(node.data))
+                    stack.extend(node._parents)
+            del out, node, stack
+            assert all(data() is None for data in inner)
+        finally:
+            gc.enable()
 
     def test_smooth_interval_until_rejected(self):
         with pytest.raises(TypeError):

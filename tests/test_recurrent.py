@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import corpus_config, equivalence_case
+from stlmask.bench import bench_formulas
 from stlmask.core import (
     Hard,
     LogSumExp,
     NamedSignals,
+    PaddingPolicy,
     SemanticsConfig,
     SmoothInterval,
     SoftMax,
@@ -83,6 +85,51 @@ class TestEquivalence:
         f = Always(Pred("s", ">", 0.0), SmoothInterval(0.2, 0.8, 4.0))
         with pytest.raises(TypeError):
             trace_recurrent(f, S8, SemanticsConfig())
+
+
+class TestLongSignals:
+    """Masked vs recurrent far beyond the corpus lengths, where the masked
+    until's prefix scan and the untimed suffix scans span hundreds of samples."""
+
+    @pytest.mark.parametrize("padding", [PaddingPolicy.last_value(), PaddingPolicy.constant(-0.5)])
+    @pytest.mark.parametrize("text, length", [
+        ("(x > -1) U (y > 0.5)", 240),
+        ("(x > -1) U[2,9] (y > 0.5)", 260),
+        ("F (x > 0) & G (y < 1.5)", 300),
+    ])
+    def test_hard_values_and_lse_gradients_agree(self, text, length, padding):
+        rng = np.random.default_rng(length)
+        f = parse(text)
+        signals = NamedSignals.from_arrays({"x": rng.normal(0, 1, length),
+                                            "y": rng.normal(0, 1, length)})
+        hard = SemanticsConfig(padding=padding)
+        np.testing.assert_allclose(trace_recurrent(f, signals, hard),
+                                   robustness_trace(f, signals, hard), rtol=0, atol=1e-9)
+        lse = SemanticsConfig(mode=LogSumExp(5.0), padding=padding)
+        cotangent = rng.normal(0, 1, length)
+        grads = []
+        for build in (trace_var, trace_var_recurrent):
+            channels = {name: Var(signals[name].values) for name in signals.names()}
+            backward(build(f, channels, length, lse), cotangent)
+            grads.append(np.stack([channels[name].grad for name in ("x", "y")]))
+        np.testing.assert_allclose(grads[1], grads[0], rtol=0, atol=1e-9)
+        assert np.max(np.abs(grads[0])) > 0.1
+
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(10.0)])
+    def test_untimed_until_graph_size_is_independent_of_length(self, mode):
+        def nodes(length):
+            rng = np.random.default_rng(length)
+            channels = {name: Var(rng.normal(0, 1, (2, length))) for name in ("x", "y")}
+            seen, stack = set(), [trace_var(bench_formulas()["phi3"], channels, length,
+                                            SemanticsConfig(mode=mode))]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert nodes(64) == nodes(256)
 
 
 class TestSoftmaxPathology:

@@ -79,6 +79,23 @@ class TestShapes:
         backward(tape.vsum(out))
         np.testing.assert_allclose(x.grad, [[1, 0, 0, 1], [1, 0, 0, 1]])
 
+    @pytest.mark.parametrize("a_shape, idx_shape, high", [
+        ((5,), (7, 3), 5),
+        ((2, 3, 6), (4, 9), 2),
+        ((2, 8), (1200, 1000), 8),  # idx.size * width above 1e6
+    ])
+    def test_take_last_scatter_matches_add_at(self, a_shape, idx_shape, high):
+        rng = np.random.default_rng(31)
+        idx = rng.integers(0, high, idx_shape)  # many repeated indices
+        x0 = rng.normal(0, 1, a_shape)
+        g = rng.normal(0, 1, a_shape[:-1] + idx_shape)
+        x = Var(x0)
+        backward(tape.take_last(x, idx), g)
+        rows = int(np.prod(a_shape[:-1]))
+        expect = np.zeros((rows, a_shape[-1]))
+        np.add.at(expect, (np.arange(rows)[:, None], idx.ravel()[None, :]), g.reshape(rows, -1))
+        assert np.array_equal(x.grad, expect.reshape(a_shape))
+
     def test_concat_index(self):
         def build(v):
             padded = tape.concat_last([v, Var(np.array([9.0]))])
@@ -352,14 +369,14 @@ class TestSuffixReductions:
     def test_matches_per_window_reduction(self, mode):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 2, 11)
-        out = tape.suffix_smooth_max(Var(x), mode)
+        out = tape.cum_reduce(Var(x), mode, 1.0, reverse=True)
         expect = [ref_max(x[t:], mode) for t in range(11)]
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_suffix_hard_grad_first_occurrence(self):
         x = np.array([1.0, 5.0, 5.0, 0.0])
         v = Var(x)
-        out = tape.suffix_smooth_max(v, Hard())
+        out = tape.cum_reduce(v, Hard(), 1.0, reverse=True)
         backward(out, seed=np.array([1.0, 1.0, 1.0, 1.0]))
         # suffixes: max at 1 (first of the tie), 1, 2, 3
         np.testing.assert_allclose(v.grad, [0.0, 2.0, 1.0, 1.0])
@@ -370,20 +387,128 @@ class TestSuffixReductions:
         x0 = rng.normal(0, 1.5, 9)
         seed = rng.normal(0, 1, 9)
         v = Var(x0)
-        backward(tape.suffix_smooth_max(v, LogSumExp(tau)), seed=seed)
+        backward(tape.cum_reduce(v, LogSumExp(tau), 1.0, reverse=True), seed=seed)
         def scalar(arr):
-            out = tape.suffix_smooth_max(Var(arr), LogSumExp(tau))
+            out = tape.cum_reduce(Var(arr), LogSumExp(tau), 1.0, reverse=True)
             return float(np.sum(out.data * seed))
         np.testing.assert_allclose(v.grad, numeric_grad(scalar, x0), atol=1e-6)
 
     def test_suffix_min_duality(self):
         x = np.array([2.0, 9.0, 4.0])
-        out = tape.suffix_smooth_min(Var(x), Hard())
+        out = tape.cum_reduce(Var(x), Hard(), -1.0, reverse=True)
         np.testing.assert_allclose(out.data, [2.0, 4.0, 4.0])
 
     def test_softmax_suffix_rejected(self):
         with pytest.raises(TypeError):
-            tape.suffix_smooth_max(Var(np.ones(3)), SoftMax(1.0))
+            tape.cum_reduce(Var(np.ones(3)), SoftMax(1.0), 1.0, reverse=True)
+
+
+def old_suffix_hard_max(x, g):
+    """The suffix hard max and its vjp before ``cum_reduce``, in numpy."""
+    data = np.flip(np.maximum.accumulate(np.flip(x, axis=-1), axis=-1), axis=-1)
+    length = x.shape[-1]
+    sel = np.empty(x.shape, dtype=np.intp)
+    sel[..., -1] = length - 1
+    best_idx = np.full(x.shape[:-1], length - 1, dtype=np.intp)
+    best_val = x[..., -1].copy()
+    for t in range(length - 2, -1, -1):
+        upd = x[..., t] >= best_val
+        best_val = np.where(upd, x[..., t], best_val)
+        best_idx = np.where(upd, t, best_idx)
+        sel[..., t] = best_idx
+    rows = int(np.prod(x.shape[:-1], dtype=np.intp)) if x.ndim > 1 else 1
+    acc = np.zeros((rows, length))
+    np.add.at(acc, (np.arange(rows)[:, None], sel.reshape(rows, length)), g.reshape(rows, length))
+    return data, acc.reshape(x.shape)
+
+
+def old_suffix_lse_max(x, g, tau):
+    """The suffix log-sum-exp max and its vjp before ``cum_reduce``, in numpy."""
+    data = np.flip(np.logaddexp.accumulate(np.flip(tau * x, axis=-1), axis=-1), axis=-1) / tau
+    length = x.shape[-1]
+    grad = np.empty_like(x)
+    acc = g[..., 0].copy()
+    grad[..., 0] = np.exp(tau * (x[..., 0] - data[..., 0])) * acc
+    for j in range(1, length):
+        acc = g[..., j] + np.exp(tau * (data[..., j] - data[..., j - 1])) * acc
+        grad[..., j] = np.exp(tau * (x[..., j] - data[..., j])) * acc
+    return data, grad
+
+
+class TestCumReduce:
+    """``cum_reduce`` against the suffix scans it replaced and against
+    per-window reductions in the prefix direction."""
+
+    @staticmethod
+    def operand(rng, ties):
+        if ties:
+            return rng.integers(0, 3, (3, 4, 17)).astype(float)
+        return rng.normal(0, 2, (3, 4, 17))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_suffix_hard_bit_identical_to_old_body(self, sign, ties):
+        rng = np.random.default_rng(21)
+        x0 = self.operand(rng, ties)
+        g = rng.normal(0, 1, x0.shape)
+        x = Var(x0)
+        out = tape.cum_reduce(x, Hard(), sign, reverse=True)
+        backward(out, g)
+        # min was the negated max of the negated input
+        data, grad = old_suffix_hard_max(sign * x0, sign * g)
+        assert np.array_equal(out.data, sign * data)
+        assert np.array_equal(x.grad, sign * grad)
+
+    @pytest.mark.parametrize("tau", [0.5, 4.0, 100.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_suffix_lse_bit_identical_to_old_body(self, sign, tau):
+        rng = np.random.default_rng(22)
+        x0 = rng.normal(0, 2, (3, 4, 17))
+        g = rng.normal(0, 1, x0.shape)
+        x = Var(x0)
+        out = tape.cum_reduce(x, LogSumExp(tau), sign, reverse=True)
+        backward(out, g)
+        data, grad = old_suffix_lse_max(sign * x0, sign * g, tau)
+        assert np.array_equal(out.data, sign * data)
+        assert np.array_equal(x.grad, sign * grad)
+
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(0.5), LogSumExp(15.0)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_prefix_values_and_grads(self, sign, mode):
+        rng = np.random.default_rng(23)
+        x0 = self.operand(rng, ties=isinstance(mode, Hard))
+        g = rng.normal(0, 1, x0.shape)
+        reduce = tape.smooth_max if sign > 0 else tape.smooth_min
+        x = Var(x0)
+        out = tape.cum_reduce(x, mode, sign)
+        backward(out, g)
+        ref = Var(x0)
+        windows = tape.stack_last([reduce(tape.take_last(ref, np.arange(t + 1)), mode)
+                                   for t in range(x0.shape[-1])])
+        backward(windows, g)
+        np.testing.assert_allclose(out.data, windows.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, ref.grad, rtol=0, atol=1e-12)
+
+    def test_prefix_hard_min_ties_go_to_earliest_index(self):
+        x0 = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 0.0, 0.0])
+        x = Var(x0)
+        out = tape.cum_reduce(x, Hard(), -1.0)
+        backward(out, np.ones(7))
+        np.testing.assert_array_equal(out.data, [3.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(x.grad, [1.0, 4.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+        # the pair chain it replaces keeps the earlier operand on a tie
+        chain = Var(x0)
+        run = [tape.index_last(chain, 0)]
+        for t in range(1, 7):
+            run.append(tape.pair_smooth_min(run[-1], tape.index_last(chain, t), Hard()))
+        backward(tape.stack_last(run), np.ones(7))
+        np.testing.assert_array_equal(chain.grad, x.grad)
+
+    def test_is_one_node(self):
+        x = Var(np.array([1.0, 3.0, 2.0]))
+        for mode in (Hard(), LogSumExp(2.0)):
+            for reverse in (False, True):
+                assert tape.cum_reduce(x, mode, -1.0, reverse)._parents == (x,)
 
 
 def dfs_backward(out):
