@@ -299,11 +299,12 @@ def synth_step_dataset(seed: int, n: int = 64, length: int = 20,
     return data
 
 
-def _mining_loss_var(a, b, sharp, dataset: Var, gamma: float, cfg: SemanticsConfig,
+def _mining_loss_var(a, b, sharp, dataset: np.ndarray, gamma: float, cfg: SemanticsConfig,
                      eps: float = 0.0) -> Var:
     # robustness at the trace start of "always positive over the smooth
-    # window": a single weighted reduction of the raw signals, no unrolling
-    n, length = dataset.data.shape
+    # window": a single weighted reduction of the raw signals, no unrolling;
+    # the dataset is a constant operand, so backward computes no gradient for it
+    n, length = dataset.shape
     weights = masking.smooth_weights_var(a, b, sharp, eps, length)
     rho0 = tape.smooth_min(dataset, cfg.mode, weights=weights)
     loss = tape.vsum(tape.relu(tape.neg(rho0))) * (1.0 / n)
@@ -320,12 +321,12 @@ def mining_objective(a: float, b: float, dataset, gamma: float, sharp: float,
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.size == 0:
         raise ValueError("dataset must be a non-empty (n, length) array")
-    return float(_mining_loss_var(float(a), float(b), float(sharp), Var(data), gamma, cfg).data)
+    return float(_mining_loss_var(float(a), float(b), float(sharp), data, gamma, cfg).data)
 
 
 def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
     """Gradient descent on sigmoid-reparameterized window bounds."""
-    data = Var(np.asarray(dataset, dtype=np.float64))
+    data = np.asarray(dataset, dtype=np.float64)
     alpha = _logit(cfg.init_interval[0])
     beta = _logit(cfg.init_interval[1])
     temp_sched = _schedule(cfg.temp_anneal, cfg.steps)

@@ -3,9 +3,16 @@
 Every trace entry is computed at once: the child trace is padded, unrolled so
 that column ``t`` holds the subsignal starting at ``t``, and a boolean mask
 selects the window entries, which a single min/max (or smooth) reduction then
-collapses column-wise.  Until gathers the left and right windows of every
-start index at once, takes the left prefix mins across window offsets, pairs
-each with the right value at that offset, and max-reduces across offsets.
+collapses column-wise.  Timed until gathers the left and right windows of
+every start index at once, takes the left prefix mins across window offsets,
+pairs each with the right value at that offset, and max-reduces across
+offsets.  Untimed until avoids the ``(L, L)`` square of windows:
+
+* in hard mode it is one ``tape.hard_until`` node, a log-depth scan of the
+  clamps ``u -> min(l_t, max(r_t, u))`` in O(L) memory with exact values;
+* in log-sum-exp mode the start rows are split into ``UNTIL_TILES`` tiles,
+  and tile ``[t0, t1)`` gathers windows of width ``L - t0`` only, which
+  trims the masked-out triangle and bounds each tile's temporaries.
 
 The dispatch over formula nodes is :func:`walk`, shared with the recurrent
 engine: the two tape engines differ only in the ``F``/``G`` and ``U`` kernels
@@ -22,7 +29,8 @@ log-sum-exp mode, exact for hard and equal by associativity of log-sum-exp:
   axis, so an until node has the same number of tape nodes at any length.
 
 Softmax mode has no such identity, so it always reduces each window in a
-single application, and until stacks one window reduction per offset.
+single application, and until stacks one window reduction per offset over
+the square gather.
 
 Padding rule: a trace entry whose window overruns the signal end is replaced
 by the padding-derived constant (for until, the hard min of the two child
@@ -47,6 +55,7 @@ from . import tape
 from .core import (
     EmptyWindowError,
     Hard,
+    LogSumExp,
     NamedSignals,
     PaddingPolicy,
     SemanticsConfig,
@@ -238,9 +247,34 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
     return _replace_overrun(out, length, iv.b, pad_value(child, length, cfg))
 
 
+#: Start-row tiles of the untimed log-sum-exp until (at most one per row).
+#: Tile ``[t0, t1)`` gathers windows of width ``L - t0``, which trims the
+#: masked-out triangle of the square gather.  For batch-8 gradients at L of
+#: 256 and 512, eight tiles ran within 11% of the fastest count from 1 to 32;
+#: more tiles add iterations to the scan vjp's loop over the window axis.
+UNTIL_TILES = 8
+
+
+def _lse_until_tiles(left: Var, right: Var, length: int, mode: LogSumExp) -> Var:
+    last = length - 1
+    tiles = []
+    for rows in np.array_split(np.arange(length), min(length, UNTIL_TILES)):
+        pos = rows[:, None] + np.arange(length - rows[0])[None, :]
+        idx = np.minimum(pos, last)
+        pm = tape.cum_reduce(tape.take_last(left, idx), mode, -1.0)
+        stacked = tape.pair_smooth_min(pm, tape.take_last(right, idx), mode)
+        tiles.append(tape.smooth_max(stacked, mode, weights=(pos <= last).astype(np.float64)))
+    return tape.concat_last(tiles)
+
+
 def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
     if isinstance(iv, SmoothInterval):
         raise TypeError("until does not support smooth intervals")
+    if iv is None and not cfg.masked_fill:
+        if isinstance(cfg.mode, Hard):
+            return tape.hard_until(left, right)
+        if isinstance(cfg.mode, LogSumExp):
+            return _lse_until_tiles(left, right, length, cfg.mode)
     if iv is None:
         a, count = 0, length
         outer_keep = (np.arange(length)[:, None] + np.arange(count)[None, :]) <= length - 1
@@ -290,11 +324,19 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 # ---------------------------------------------------------------------------
 
 def smooth_weights_var(a, b, c, eps: float, length: int) -> Var:
-    """Differentiable window weights from (possibly taped) interval params."""
+    """Differentiable window weights from (possibly taped) interval params:
+    ``relu(sigmoid(c*(i - a*L)) - sigmoid(c*(i - b*L)) - eps)``.
+
+    Past the window's midpoint both sigmoid arguments are negated and the
+    difference negated back (``sigmoid(-z) = 1 - sigmoid(z)``), so no weight
+    is the difference of two values near 1 (see
+    ``smoothing.smooth_time_mask``)."""
+    a, b = tape.as_var(a), tape.as_var(b)
     i = Var(np.arange(length, dtype=np.float64))
-    lo = tape.sigmoid((i - tape.as_var(a) * float(length)) * c)
-    hi = tape.sigmoid((i - tape.as_var(b) * float(length)) * c)
-    return tape.relu(lo - hi - eps)
+    flip = np.where(np.arange(length) > (a.data + b.data) * (0.5 * length), -1.0, 1.0)
+    lo = tape.sigmoid((i - a * float(length)) * (c * flip))
+    hi = tape.sigmoid((i - b * float(length)) * (c * flip))
+    return tape.relu((lo - hi) * flip - eps)
 
 
 def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,

@@ -84,12 +84,17 @@ def smooth_time_mask(i, si: SmoothInterval, length: int):
     """Differentiable window indicator at time index ``i``.
 
     ``max(sigmoid(c*(i - a*L)) - sigmoid(c*(i - b*L)) - eps, 0)`` where ``L``
-    is the signal sample count.  Scalar in, scalar out; arrays broadcast.
+    is the signal sample count.  Past the window's midpoint the difference is
+    taken as ``sigmoid(c*(b*L - i)) - sigmoid(c*(a*L - i))``, the same value
+    from two sigmoids below 1/2: the first form subtracts two values near 1
+    there and loses far-window weights to cancellation, as the second does
+    before the midpoint.  Scalar in, scalar out; arrays broadcast.
     """
     i = np.asarray(i, dtype=np.float64)
-    lo = sigmoid(si.c * (i - si.a * length))
-    hi = sigmoid(si.c * (i - si.b * length))
-    w = np.maximum(lo - hi - si.eps, 0.0)
+    lo, hi = si.a * length, si.b * length
+    near = sigmoid(si.c * (i - lo)) - sigmoid(si.c * (i - hi))
+    far = sigmoid(si.c * (hi - i)) - sigmoid(si.c * (lo - i))
+    w = np.maximum(np.where(i > 0.5 * (lo + hi), far, near) - si.eps, 0.0)
     if w.ndim == 0:
         return float(w)
     return w

@@ -13,13 +13,17 @@ Each window max/min (``_hard_reduce``, ``_smooth_reduce``), each running
 max/min along the last axis (``cum_reduce``, a prefix or suffix scan) and
 each elementwise two-operand max/min (``_pair_reduce``) is a single tape
 node, built by one implementation per shape that takes the direction as a
-sign.  Hard reductions route the full subgradient to the first extremal entry
-of the window in ascending index order, or to the first operand on a pairwise
-tie.  Gathers and hard scans scatter their gradient back with one flattened
+sign.  Untimed hard until is one ``hard_until`` node: a Hillis-Steele
+doubling scan of the clamps ``u -> min(H, max(M, u))``, which compose into
+clamps, so it takes log2(L) elementwise steps and O(L) memory.  Hard
+reductions route the full subgradient to the first extremal entry of the
+window in ascending index order, or to the first operand on a pairwise tie;
+``hard_until`` routes the same subgradient as the gathered until it stands
+for.  Gathers and hard scans scatter their gradient back with one flattened
 ``np.bincount``.  Smooth window reductions factor out a detached maximum over
 the kept entries before exponentiation, so large temperatures cannot
-overflow, and route the analytic gradient to the input and, when they are
-taped, to the weights.
+overflow, and route the analytic gradient to the input and the weights when
+each is a :class:`Var`; an operand passed as an array is a constant.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "pair_smooth_max",
     "pair_smooth_min",
     "cum_reduce",
+    "hard_until",
 ]
 
 
@@ -335,26 +340,30 @@ def take_last(a, idx: np.ndarray) -> Var:
 # Reductions (always along the last axis)
 # ---------------------------------------------------------------------------
 
-def _weight_data(weights):
-    if weights is None:
+def _array(x):
+    """The array behind an operand: a :class:`Var`'s data, else the value
+    itself as a float64 constant (``None`` stays ``None``)."""
+    if x is None:
         return None
-    return weights.data if isinstance(weights, Var) else np.asarray(weights, dtype=np.float64)
+    return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _hard_reduce(a: Var, weights, sign: float) -> Var:
+def _hard_reduce(a, weights, sign: float) -> Var:
     """``sign * reduce-max(sign * a)`` exactly, one node.
 
     ``weights`` only select which entries participate (``> 0`` keeps); they
     receive no gradient.  The subgradient is one-hot at the first extremal
-    kept entry.
+    kept entry; a non-``Var`` operand is a constant and gets none.
     """
-    w = _weight_data(weights)
+    x, w = _array(a), _array(weights)
     fill, pick = (-np.inf, np.argmax) if sign > 0 else (np.inf, np.argmin)
-    masked = a.data if w is None else np.where(w > 0, a.data, fill)
+    masked = x if w is None else np.where(w > 0, x, fill)
     sel = pick(masked, axis=-1)
     data = np.take_along_axis(masked, sel[..., None], axis=-1)[..., 0]
     if not np.all(np.isfinite(data)):
         raise EmptyWindowError("hard reduction over a window with no kept entries")
+    if not isinstance(a, Var):
+        return Var(data)
     out = Var(data, (a,))
     def vjp(g):
         acc = np.zeros_like(a.data)
@@ -366,10 +375,10 @@ def _hard_reduce(a: Var, weights, sign: float) -> Var:
 
 def hard_max(a, weights=None) -> Var:
     """Exact max over kept entries; one-hot subgradient at the first argmax."""
-    return _hard_reduce(as_var(a), weights, 1.0)
+    return _hard_reduce(a, weights, 1.0)
 
 
-def _smooth_reduce(a: Var, mode: Mode, weights, sign: float) -> Var:
+def _smooth_reduce(a, mode: Mode, weights, sign: float) -> Var:
     """``sign * reduce-max(sign * a)`` in log-sum-exp or softmax mode, one node.
 
     With ``x = sign * a``, ``m`` the detached max of ``x`` over kept entries
@@ -382,14 +391,15 @@ def _smooth_reduce(a: Var, mode: Mode, weights, sign: float) -> Var:
       d/dw = ``ez * (x - out) / s``.
 
     ``d/da = d/dx`` because ``sign * sign == 1``; the weight gradient carries
-    ``sign``.
+    ``sign``.  Only operands that are :class:`Var` become parents and get a
+    gradient; arrays are constants.
     """
     if not isinstance(mode, (LogSumExp, SoftMax)):
         raise TypeError(f"unsupported mode: {mode!r}")
     lse = isinstance(mode, LogSumExp)
     tau = mode.temp
-    x = a.data if sign > 0 else -a.data
-    w = _weight_data(weights)
+    x = _array(a) if sign > 0 else -_array(a)
+    w = _array(weights)
     # entries outside the kept set may exceed the kept max; silence them
     # before exponentiation so 0 * exp(huge) cannot produce NaN
     x_kept = x if w is None else np.where(w > 0, x, -np.inf)
@@ -402,28 +412,31 @@ def _smooth_reduce(a: Var, mode: Mode, weights, sign: float) -> Var:
     if not np.all(s > 0):
         raise EmptyWindowError("smooth reduction over an all-zero-weight window")
     inner = np.log(s) * (1.0 / tau) + m[..., 0] if lse else np.sum(x * e, axis=-1) / s
+    taped_a = a if isinstance(a, Var) else None
     taped_w = weights if isinstance(weights, Var) else None
-    out = Var(sign * inner, (a,) if taped_w is None else (a, taped_w))
+    parents = tuple(v for v in (taped_a, taped_w) if v is not None)
+    out = Var(sign * inner, parents)
+    if not parents:
+        return out
 
     def vjp(g):
         g_s = (g / s)[..., None]
-        if lse:
-            ga = g_s * e
-            gw = None if taped_w is None else (g_s * (sign / tau)) * ez
-        else:
-            dev = x - inner[..., None]
-            ga = g_s * e * (1.0 + tau * dev)
-            gw = None if taped_w is None else (g_s * sign) * ez * dev
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        if gw is not None:
+        dev = None if lse else x - inner[..., None]
+        if taped_a is not None:
+            ga = g_s * e if lse else g_s * e * (1.0 + tau * dev)
+            _accum(taped_a, _unbroadcast(ga, taped_a.data.shape))
+        if taped_w is not None:
+            gw = (g_s * (sign / tau)) * ez if lse else (g_s * sign) * ez * dev
             _accum(taped_w, _unbroadcast(gw, taped_w.data.shape))
     out._vjp = vjp
     return out
 
 
 def smooth_max(a, mode: Mode, weights=None) -> Var:
-    """Max-reduction along the last axis under the configured semantics."""
-    a = as_var(a)
+    """Max-reduction along the last axis under the configured semantics.
+
+    A non-``Var`` operand or weight array is a constant: no parent, no
+    gradient."""
     if isinstance(mode, Hard):
         return hard_max(a, weights)
     return _smooth_reduce(a, mode, weights, 1.0)
@@ -431,7 +444,6 @@ def smooth_max(a, mode: Mode, weights=None) -> Var:
 
 def smooth_min(a, mode: Mode, weights=None) -> Var:
     """Min-reduction along the last axis: ``-smooth_max(-a)``."""
-    a = as_var(a)
     if isinstance(mode, Hard):
         return _hard_reduce(a, weights, -1.0)
     return _smooth_reduce(a, mode, weights, -1.0)
@@ -490,17 +502,24 @@ def pair_smooth_min(a, b, mode: Mode) -> Var:
     return _pair_reduce(a, b, mode, -1.0)
 
 
+def _next_true(mask: np.ndarray) -> np.ndarray:
+    """For every ``t``, the first ``j >= t`` along the last axis where
+    ``mask[..., j]`` holds (the length where none does): a reversed running
+    min over the record positions."""
+    length = mask.shape[-1]
+    rec = np.where(mask, np.arange(length, dtype=np.intp), length)
+    return np.flip(np.minimum.accumulate(np.flip(rec, axis=-1), axis=-1), axis=-1)
+
+
 def _first_extremum(y: np.ndarray, run: np.ndarray, reverse: bool) -> np.ndarray:
     """First argmax of each window of ``run``, the running max of ``y``.
 
     Suffix: the first ``j >= t`` with ``y[j] == run[j]`` (max of its own
     suffix).  Prefix: the last ``j <= t`` where ``y[j]`` raises the running max.
     """
-    length = y.shape[-1]
-    pos = np.arange(length, dtype=np.intp)
     if reverse:
-        rec = np.where(y == run, pos, length)
-        return np.flip(np.minimum.accumulate(np.flip(rec, axis=-1), axis=-1), axis=-1)
+        return _next_true(y == run)
+    pos = np.arange(y.shape[-1], dtype=np.intp)
     rises = np.concatenate([np.ones(y.shape[:-1] + (1,), dtype=bool),
                             y[..., 1:] > run[..., :-1]], axis=-1)
     return np.maximum.accumulate(np.where(rises, pos, 0), axis=-1)
@@ -553,5 +572,50 @@ def cum_reduce(a, mode: Mode, sign: float, reverse: bool = False) -> Var:
     else:
         raise TypeError("cumulative reductions are only defined for hard and log-sum-exp modes")
     out = Var(data, (a,))
+    out._vjp = vjp
+    return out
+
+
+def hard_until(left, right) -> Var:
+    """Untimed hard until along the last axis, one node.
+
+    ``out[..., t] = max_{j >= t} min(min(left[..., t:j + 1]), right[..., j])``,
+    which obeys ``out_t = min(l_t, max(r_t, out_{t+1}))`` with ``out_L = -inf``
+    (Donze, Ferrere & Maler, CAV 2013).  Each step is the clamp
+    ``u -> min(H, max(M, u))`` with ``H = l_t`` and ``M = min(r_t, l_t)``;
+    clamps compose into clamps (``H = min(H1, max(M1, H2))``,
+    ``M = min(max(M1, M2), H)``), so a Hillis-Steele doubling scan of log2(L)
+    elementwise steps gives every ``M`` at once, which is the output.  Only
+    min and max are taken, so the values are exact.
+
+    The subgradient is the one the gathered form (prefix mins, pairwise min,
+    max over offsets) routes, rebuilt in O(L) only when a gradient is asked
+    for: a max tie goes to ``r_t``, a min tie to ``l_t``, and entry ``t``
+    follows the chain to the first step ``j >= t`` that stops it.
+    """
+    a, b = as_var(left), as_var(right)
+    x, y = np.broadcast_arrays(a.data, b.data)
+    length = x.shape[-1]
+    hi = x.copy()
+    lo = np.minimum(y, x)
+    step = 1
+    while step < length:
+        h1, m1 = hi[..., :-step], lo[..., :-step]
+        h = np.minimum(h1, np.maximum(m1, hi[..., step:]))
+        m = np.minimum(np.maximum(m1, lo[..., step:]), h)
+        hi[..., :-step] = h
+        lo[..., :-step] = m
+        step *= 2
+    data = lo
+
+    def vjp(g):
+        nxt = np.concatenate([data[..., 1:], np.full(data.shape[:-1] + (1,), -np.inf)], axis=-1)
+        take_l = x <= np.maximum(y, nxt)
+        src = _next_true(take_l | (y >= nxt))
+        # left sources land in [0, L), right sources in [L, 2L)
+        src = src + length * ~np.take_along_axis(take_l, src, axis=-1)
+        buf = _scatter_last(g, src, data.shape[:-1] + (2 * length,))
+        _accum_pair(a, b, buf[..., :length], buf[..., length:])
+    out = Var(data, (a, b))
     out._vjp = vjp
     return out

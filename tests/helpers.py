@@ -69,3 +69,55 @@ def equivalence_case(rng, depth=3, max_len=40):
     signals = random_signals(rng, max_len)
     f = random_formula(rng, int(rng.integers(1, depth + 1)))
     return f, signals
+
+
+def sequential_until(left, right, cotangent):
+    """Untimed hard until by its recurrence ``u_t = min(l_t, max(r_t, u_{t+1}))``
+    with ``u_L = -inf``, one step at a time along the last axis.
+
+    Returns the trace and the gradients of ``sum(cotangent * trace)`` with
+    respect to both operands: a max tie goes to ``r_t`` and a min tie to
+    ``l_t``, and each entry follows its chain of sources to the step that
+    stops it.
+    """
+    left, right = np.broadcast_arrays(np.asarray(left, dtype=np.float64),
+                                      np.asarray(right, dtype=np.float64))
+    g = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), left.shape)
+    length = left.shape[-1]
+    out = np.empty(left.shape)
+    # source of each entry: (index, from_left) per batch element
+    src_idx = np.empty(left.shape, dtype=np.intp)
+    src_left = np.empty(left.shape, dtype=bool)
+    nxt = np.full(left.shape[:-1], -np.inf)
+    nxt_idx = np.zeros(left.shape[:-1], dtype=np.intp)
+    nxt_left = np.zeros(left.shape[:-1], dtype=bool)
+    for t in range(length - 1, -1, -1):
+        l, r = left[..., t], right[..., t]
+        take_r = r >= nxt
+        v = np.where(take_r, r, nxt)
+        take_l = l <= v
+        out[..., t] = np.where(take_l, l, v)
+        src_idx[..., t] = np.where(take_l | take_r, t, nxt_idx)
+        src_left[..., t] = np.where(take_l, True, np.where(take_r, False, nxt_left))
+        nxt, nxt_idx, nxt_left = out[..., t], src_idx[..., t], src_left[..., t]
+    grad_l = np.zeros(left.shape)
+    grad_r = np.zeros(left.shape)
+    for pos in np.ndindex(left.shape):
+        target = grad_l if src_left[pos] else grad_r
+        target[pos[:-1] + (src_idx[pos],)] += g[pos]
+    return out, grad_l, grad_r
+
+
+def gathered_until(left, right, length, mode):
+    """Untimed until as one gather of every start's window: prefix mins
+    along the window, paired with the right operand, max over offsets.  The
+    single-gather formulation the masked engine used for untimed until in
+    hard and log-sum-exp mode, kept as a reference for the scan and the
+    start-row tiles."""
+    from stlmask import tape
+
+    pos = np.arange(length)[:, None] + np.arange(length)[None, :]
+    idx = np.minimum(pos, length - 1)
+    pm = tape.cum_reduce(tape.take_last(left, idx), mode, -1.0)
+    stacked = tape.pair_smooth_min(pm, tape.take_last(right, idx), mode)
+    return tape.smooth_max(stacked, mode, weights=(pos <= length - 1).astype(np.float64))

@@ -199,17 +199,14 @@ def test_criterion_7_performance_direction():
     med = {(r["formula"], r["length"], r["engine"]): r["value_median_s"]
            for r in report["results"]}
     directed = []
-    for name in ("phi1", "phi2", "phi4", "phi5", "phi6"):
+    for name in ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6"):
         mask_t = med[(name, 512, "masking")]
         rec_t = med[(name, 512, "recurrent")]
         directed.append(f"{name}: {mask_t*1e3:.1f}ms vs {rec_t*1e3:.1f}ms")
         assert mask_t < rec_t, f"{name} at L=512: masking {mask_t} >= recurrent {rec_t}"
-    phi3 = (med[("phi3", 512, "masking")], med[("phi3", 512, "recurrent")])
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    _report("criterion 7",
-            "; ".join(directed) + f"; phi3 reported {phi3[0]*1e3:.1f}ms vs "
-            f"{phi3[1]*1e3:.1f}ms (no direction asserted); total {elapsed:.0f}s")
+    _report("criterion 7", "; ".join(directed) + f"; total {elapsed:.0f}s")
 
 
 def test_criterion_8_grid_feasibility():

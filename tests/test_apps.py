@@ -5,6 +5,7 @@ import pytest
 
 from stlmask.apps import (
     MiningConfig,
+    _mining_loss_var,
     PlannerConfig,
     box_formula,
     grid_eval,
@@ -18,6 +19,7 @@ from stlmask.apps import (
 from stlmask.core import DivergedError, LogSumExp, NamedSignals, SemanticsConfig, SmoothInterval
 from stlmask.masking import robustness
 from stlmask.formula import Always, Pred
+from stlmask.tape import Var, backward
 
 
 class TestRollout:
@@ -110,6 +112,26 @@ class TestMiningObjective:
                 max(-robustness(phi, NamedSignals.from_arrays({"s": row}), cfg), 0.0)
                 for row in data]) + 0.2 * (a - b)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    def test_dataset_is_a_constant_operand(self):
+        data = synth_step_dataset(3, n=5)
+        cfg = SemanticsConfig(mode=LogSumExp(8.0))
+        results = []
+        for dataset in (data, Var(data)):
+            av, bv = Var(0.3), Var(0.6)
+            loss = _mining_loss_var(av, bv, 12.0, dataset, 0.2, cfg)
+            backward(loss)
+            results.append((loss.data, av.grad, bv.grad))
+            nodes, stack = [], [loss]
+            while stack:
+                nodes.append(stack.pop())
+                stack.extend(nodes[-1]._parents)
+            if not isinstance(dataset, Var):
+                # no node holds the dataset: the reduction's only parent is its weights
+                assert not any(node.data.shape == data.shape for node in nodes)
+        # taping the dataset changed nothing but the gradient nobody read
+        for got, expect in zip(*results):
+            assert np.array_equal(got, expect)
 
     def test_rejects_bad_dataset(self):
         with pytest.raises(ValueError):

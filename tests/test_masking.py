@@ -1,10 +1,20 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from helpers import corpus_config, equivalence_case, random_formula, random_signals
+from helpers import (
+    CHANNELS,
+    corpus_config,
+    equivalence_case,
+    gathered_until,
+    random_formula,
+    random_signals,
+)
+from stlmask import masking
+from stlmask.bench import bench_formulas
 from stlmask.core import (
     EmptyWindowError,
     Hard,
@@ -31,6 +41,7 @@ from stlmask.masking import (
     robustness_trace,
     trace_var,
     until_trace,
+    walk,
 )
 from stlmask.reference import trace_ref
 from stlmask.smoothing import smooth_max, smooth_min
@@ -224,6 +235,74 @@ class TestUntil:
                 terms.append(smooth_min([pm, rv], mode))
             expect[t] = smooth_max(terms, mode)
         return expect
+
+
+def gathered_untimed_until(left, right, length, iv, cfg):
+    """The until kernel with untimed hard and log-sum-exp until as one
+    square gather, the formulation the scan and the start-row tiles replace."""
+    if iv is None and not cfg.masked_fill and not isinstance(cfg.mode, SoftMax):
+        return gathered_until(left, right, length, cfg.mode)
+    return masking._until_var(left, right, length, iv, cfg)
+
+
+def trace_and_grads(f, arrays, length, cfg, until, cotangent):
+    channels = {name: Var(arrays[name]) for name in CHANNELS}
+    out = walk(f, channels, length, cfg, masking._ev_always_var, until)
+    backward(out, cotangent)
+    grads = [np.zeros(length) if channels[n].grad is None else channels[n].grad for n in CHANNELS]
+    return out.data, np.stack(grads)
+
+
+class TestUntimedUntil:
+    @pytest.mark.parametrize("hard,ties", [(True, False), (True, True), (False, False)],
+                             ids=["hard", "hard-tied", "lse"])
+    def test_corpus_matches_gather(self, hard, ties):
+        # hard values and subgradients bit for bit; LSE to the summation order
+        rng = np.random.default_rng(35 + ties + 2 * (not hard))
+        for _ in range(150):
+            f, signals = equivalence_case(rng)
+            arrays = {name: signals[name].values for name in CHANNELS}
+            if ties:
+                arrays = {name: np.round(v) for name, v in arrays.items()}
+            mode = Hard() if hard else LogSumExp(float(rng.choice([0.5, 10.0, 500.0])))
+            cfg = corpus_config(rng, mode)
+            g = rng.normal(0, 1, signals.length)
+            got = trace_and_grads(f, arrays, signals.length, cfg, masking._until_var, g)
+            expect = trace_and_grads(f, arrays, signals.length, cfg, gathered_untimed_until, g)
+            for x, y in zip(got, expect):
+                if hard:
+                    assert np.array_equal(x, y), f
+                else:
+                    np.testing.assert_allclose(x, y, rtol=0, atol=1e-12, err_msg=str(f))
+
+    @pytest.mark.parametrize("tau", [0.5, 10.0, 500.0])
+    @pytest.mark.parametrize("length", [1, 5, 8, 9, 63, 240, 512])
+    def test_lse_tiles_match_single_gather(self, length, tau):
+        rng = np.random.default_rng(length)
+        x0, y0 = rng.normal(0, 2, (2, length)), rng.normal(0, 2, (2, length))
+        g = rng.normal(0, 1, (2, length))
+        cfg = SemanticsConfig(mode=LogSumExp(tau))
+        results = []
+        for build in (lambda l, r: masking._until_var(l, r, length, None, cfg),
+                      lambda l, r: gathered_until(l, r, length, cfg.mode)):
+            left, right = Var(x0), Var(y0)
+            out = build(left, right)
+            backward(out, g)
+            results.append((out.data, left.grad, right.grad))
+        for got, expect in zip(*results):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_hard_memory_is_linear_in_length(self):
+        # the square gather's peak grows with L**2: 1.45 GB already at L=2048
+        rng = np.random.default_rng(38)
+        channels = {name: Var(rng.normal(0, 1, (8, 8192))) for name in ("x", "y")}
+        tracemalloc.start()
+        try:
+            trace_var(bench_formulas()["phi3"], channels, 8192, SemanticsConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestRobustnessTrace:

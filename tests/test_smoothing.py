@@ -137,6 +137,32 @@ class TestTimeMask:
         with pytest.raises(EmptyWindowError):
             smooth_mask_weights(si, 10)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("si,length", [
+        (SmoothInterval(0.2, 0.6, 0.25), 256),
+        (SmoothInterval(298 / 299, 1.0, 50.0), 20),
+        (SmoothInterval(0.0, 1 / 299, 50.0), 20),
+        (SmoothInterval(0.3, 0.31, 2.0), 50),
+    ])
+    def test_weights_match_long_double_without_cancellation(self, si, length):
+        from stlmask.masking import smooth_weights_var
+
+        # sigma(x) - sigma(y) == sigma(x) * sigma(-y) * (1 - exp(y - x)): a
+        # product with no cancellation anywhere, evaluated in long double
+        i = np.arange(length, dtype=np.longdouble)
+        x = np.longdouble(si.c) * (i - np.longdouble(si.a) * length)
+        y = np.longdouble(si.c) * (i - np.longdouble(si.b) * length)
+        ref = -np.expm1(y - x) / ((1 + np.exp(-x)) * (1 + np.exp(y)))
+        # weights below the float64 range are rounded to zero by either form
+        shown = ref > 1e-300
+        for w in (smooth_mask_weights(si, length),
+                  smooth_weights_var(si.a, si.b, si.c, si.eps, length).data):
+            rel = (np.abs(w - ref)[shown] / ref[shown]).astype(np.float64)
+            # as sigma(x) - sigma(y) everywhere, far-window weights lost 5e-6
+            # of their value or all of it
+            assert rel.max() < 1e-12
+
     def test_weights_differentiable_in_a(self):
         si = SmoothInterval(0.3, 0.7, 8.0)
         h = 1e-6

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import gathered_until, sequential_until
 from stlmask import tape
 from stlmask.core import EmptyWindowError, Hard, LogSumExp, SoftMax
 from stlmask.smoothing import smooth_max as ref_max, smooth_min as ref_min
@@ -248,6 +249,26 @@ class TestFusedSmoothReduction:
         x = Var(np.array([0.2, 0.9, -0.4]))
         out = tape.smooth_min(x, LogSumExp(4.0), weights=np.array([1.0, 0.5, 0.0]))
         assert out._parents == (x,)
+
+    @pytest.mark.parametrize("reduce", REDUCERS, ids=["max", "min"])
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(4.0), SoftMax(4.0)])
+    def test_ndarray_operand_is_a_constant(self, reduce, mode):
+        rng = np.random.default_rng(13)
+        x0 = rng.normal(0, 1, (3, 5))
+        w0 = rng.uniform(0.1, 1.0, 5)
+        seed = rng.normal(0, 1, 3)
+        w = Var(w0)
+        out = reduce(x0, mode, weights=w)
+        taped_w = Var(w0)
+        taped = reduce(Var(x0), mode, weights=taped_w)
+        assert np.array_equal(out.data, taped.data)
+        # hard weights only select entries, so nothing is left to differentiate
+        assert out._parents == (() if isinstance(mode, Hard) else (w,))
+        backward(out, seed)
+        backward(taped, seed)
+        if not isinstance(mode, Hard):
+            assert np.array_equal(w.grad, taped_w.grad)
+        assert reduce(x0, mode)._parents == ()
 
     @pytest.mark.parametrize("reduce", REDUCERS, ids=["max", "min"])
     @pytest.mark.parametrize("mode", [LogSumExp(2.0), SoftMax(2.0)])
@@ -607,3 +628,46 @@ class TestBackward:
         assert np.max(np.abs(fused[1])) > 1e-3
         assert fused[2] == pytest.approx(reference[2], rel=0, abs=1e-12)
         assert fused[3] == pytest.approx(reference[3], rel=0, abs=1e-12)
+
+
+class TestHardUntil:
+    """``hard_until`` against the sequential recurrence and against the
+    single-gather formulation it replaced in the masked engine."""
+
+    @staticmethod
+    def operands(rng, shape, ties):
+        if ties:
+            return (rng.integers(0, 3, shape).astype(float), rng.integers(0, 3, shape).astype(float))
+        return rng.normal(0, 2, shape), rng.normal(0, 2, shape)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "tied"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["1d", "batched"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 240, 513])
+    def test_bit_identical_to_recurrence_and_gather(self, length, batch, ties):
+        rng = np.random.default_rng(length + 7 * len(batch) + 100 * ties)
+        shape = batch + (length,)
+        x0, y0 = self.operands(rng, shape, ties)
+        g = rng.normal(0, 1, shape)
+        seq, seq_l, seq_r = sequential_until(x0, y0, g)
+        for build in (lambda l, r: tape.hard_until(l, r),
+                      lambda l, r: gathered_until(l, r, length, Hard())):
+            left, right = Var(x0), Var(y0)
+            out = build(left, right)
+            backward(out, g)
+            assert np.array_equal(out.data, seq)
+            assert np.array_equal(left.grad, seq_l)
+            assert np.array_equal(right.grad, seq_r)
+
+    def test_long_values_match_loop(self):
+        rng = np.random.default_rng(31)
+        x0, y0 = rng.normal(0, 2, 65536), rng.normal(0, 2, 65536)
+        expect = np.empty(65536)
+        u = -np.inf
+        for t in range(65535, -1, -1):
+            u = min(x0[t], max(y0[t], u))
+            expect[t] = u
+        assert np.array_equal(tape.hard_until(x0, y0).data, expect)
+
+    def test_is_one_node(self):
+        left, right = Var(np.array([1.0, -2.0, 3.0])), Var(np.array([0.5, 2.0, -1.0]))
+        assert tape.hard_until(left, right)._parents == (left, right)
