@@ -54,7 +54,7 @@ from .masking import (
 )
 from .recurrent import trace_recurrent
 from .reference import eval_bool, robustness_ref, trace_ref
-from .smoothing import AnnealSchedule, anneal, smooth_mask_weights, smooth_max, smooth_min, smooth_time_mask
+from .smoothing import AnnealSchedule, smooth_mask_weights, smooth_max, smooth_min, smooth_time_mask
 from .autodiff import Gradients, finite_diff_check, value_and_grad
 
 __all__ = [
@@ -89,7 +89,6 @@ __all__ = [
     "Until",
     "ValidationError",
     "always_trace",
-    "anneal",
     "eval_bool",
     "eventually_trace",
     "finite_diff_check",

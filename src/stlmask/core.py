@@ -2,8 +2,7 @@
 
 Everything here is immutable after construction and safe for concurrent reads.
 A robustness trace is represented as a plain 1-D float64 ``numpy.ndarray`` of
-the same length as the input signal; ``RobustnessTrace`` is an alias kept for
-documentation purposes.
+the same length as the input signal.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "EmptyWindowError",
     "DivergedError",
     "ValidationError",
-    "RobustnessTrace",
     "Signal",
     "NamedSignals",
     "StepInterval",
@@ -73,11 +71,6 @@ class ValidationError(StlError):
     def __init__(self, missing):
         self.missing = sorted(missing)
         super().__init__(f"missing signal channels: {', '.join(self.missing)}")
-
-
-#: A robustness trace: 1-D float64 array, entry ``t`` is the robustness of the
-#: subsignal starting at timestep ``t`` and ending at the final sample.
-RobustnessTrace = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -257,22 +250,13 @@ class SemanticsConfig:
     """Evaluation configuration shared by every engine.
 
     ``top_value`` is the robustness assigned to the constant-true formula.
-    ``sentinel`` is only used when ``masked_fill`` is on, which reproduces the
-    fill-with-large-values masking described for the window reductions; the
-    default path reduces over kept entries only.  Filling is an approximation
-    hazard for the smooth modes (the sentinel leaks into the exponentials), so
-    leave ``masked_fill`` off unless bit-faithful fill behavior is needed.
     """
 
     mode: Mode = Hard()
     padding: PaddingPolicy = PaddingPolicy("last")
-    sentinel: float = 1e5
     top_value: float = 1e5
-    masked_fill: bool = False
 
     def __post_init__(self):
-        if not self.sentinel > 0:
-            raise ValueError(f"sentinel must be positive, got {self.sentinel}")
         if not self.top_value > 0:
             raise ValueError(f"top_value must be positive, got {self.top_value}")
         if not isinstance(self.mode, (Hard, SoftMax, LogSumExp)):

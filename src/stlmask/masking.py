@@ -19,10 +19,12 @@ engine: the two tape engines differ only in the ``F``/``G`` and ``U`` kernels
 they pass in.  Boolean connectives and until's pairings are one
 ``tape.pair_smooth_min``/``pair_smooth_max`` node each.
 
-The implementation gathers windows with ``tape.take_last`` instead of
-materializing mask products; tests check it against materialized mask
-reductions.  Running reductions are one ``tape.cum_reduce`` node in hard and
-log-sum-exp mode, exact for hard and equal by associativity of log-sum-exp:
+Windows are reduced over their kept entries only.  The implementation
+gathers them with ``tape.take_last`` instead of materializing mask products;
+the tests check it against reductions over the materialized masks built in
+``tests/helpers.py``.  Running reductions are one ``tape.cum_reduce`` node in
+hard and log-sum-exp mode, exact for hard and equal by associativity of
+log-sum-exp:
 
 * untimed eventually/always are suffix scans of the child trace,
 * until's left prefix mins are one prefix scan along the gathered window
@@ -37,14 +39,6 @@ by the padding-derived constant (for until, the hard min of the two child
 padding values) — past the end only the assumed padding region is visible,
 and every operator reduces a constant region to that constant.  Windows that
 fit reduce over real samples only; untimed windows clip at the end instead.
-
-By default reductions run over kept entries only.  With
-``SemanticsConfig.masked_fill`` the masked-out entries are instead replaced
-by ``+/- sentinel``, the padding rows join the columns as samples, and the
-reduction runs over the full column: that reproduces fill-style masking
-arithmetic bit for bit (hard mode only makes sense there; the sentinel leaks
-into smooth reductions).  The two modes differ exactly on windows that
-overrun the end.
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ from .core import (
     Hard,
     LogSumExp,
     NamedSignals,
-    PaddingPolicy,
     SemanticsConfig,
     ShapeError,
     SmoothInterval,
@@ -82,12 +75,6 @@ from .smoothing import smooth_mask_weights
 from .tape import Var
 
 __all__ = [
-    "Mask2D",
-    "build_subsignal_mask",
-    "build_time_mask",
-    "combine_masks",
-    "build_unrolled",
-    "build_until_masks",
     "eventually_trace",
     "always_trace",
     "until_trace",
@@ -98,72 +85,6 @@ __all__ = [
     "pad_value",
     "smooth_weights_var",
 ]
-
-#: Boolean keep-mask of shape (rows, L); entry (r, t) == True keeps row r in
-#: column t's reduction.
-Mask2D = np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# Mask construction
-# ---------------------------------------------------------------------------
-
-def build_subsignal_mask(length: int, rows: int) -> Mask2D:
-    """Keep entry (r, t) iff ``r >= t``: column t starts at its own timestep."""
-    if not (rows >= length >= 1):
-        raise ShapeError(f"need rows >= length >= 1, got rows={rows}, length={length}")
-    r = np.arange(rows)[:, None]
-    t = np.arange(length)[None, :]
-    return r >= t
-
-
-def build_time_mask(length: int, iv: StepInterval) -> Mask2D:
-    """Keep entry (r, t) iff ``t + a <= r <= t + b``; rows = length + b."""
-    rows = length + iv.b
-    r = np.arange(rows)[:, None]
-    t = np.arange(length)[None, :]
-    return (r >= t + iv.a) & (r <= t + iv.b)
-
-
-def combine_masks(subsig: Mask2D, time: Mask2D) -> Mask2D:
-    """Intersection of the kept regions."""
-    if subsig.shape != time.shape:
-        raise ShapeError(f"mask shapes differ: {subsig.shape} vs {time.shape}")
-    return subsig & time
-
-
-def build_unrolled(values: np.ndarray, rows: int, padding: PaddingPolicy) -> np.ndarray:
-    """(rows, L) array whose every column is the padded input."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    length = values.shape[0]
-    if rows < length:
-        raise ShapeError(f"rows {rows} < signal length {length}")
-    pad_value = values[-1] if padding.kind == "last" else padding.value
-    padded = np.concatenate([values, np.full(rows - length, pad_value)])
-    return np.repeat(padded[:, None], length, axis=1)
-
-
-def build_until_masks(length: int, iv: StepInterval | None):
-    """3D keep-masks for the until construction, shape (rows, L, K).
-
-    Slice k of the left mask keeps, in column t, rows ``t .. t+a+k``; slice k
-    of the right mask keeps only row ``t+a+k``.  Without an interval the
-    window spans the remaining signal (a=0, K=L, no padding rows) and slices
-    reaching past the signal end keep nothing in that column.
-    """
-    if iv is None:
-        a, count, rows = 0, length, length
-    else:
-        a, count, rows = iv.a, window_size(iv), length + iv.b
-    r = np.arange(rows)[:, None, None]
-    t = np.arange(length)[None, :, None]
-    k = np.arange(count)[None, None, :]
-    end = t + a + k
-    valid = end <= rows - 1
-    left = (r >= t) & (r <= end) & valid
-    right = (r == end) & valid
-    return left, right
-
 
 # ---------------------------------------------------------------------------
 # Window helpers on tape variables (reductions run along the last axis)
@@ -206,16 +127,6 @@ def _replace_overrun(out: Var, length: int, upper: int, pad_value: Var) -> Var:
     return tape.mask_fill(out, keep, 0.0) + tape.mask_fill(replacement, ~keep, 0.0)
 
 
-def _fill_reduce_columns(padded: Var, keep: np.ndarray, kind: str, cfg: SemanticsConfig) -> Var:
-    # keep is a (rows, L) mask; reduce full columns after sentinel fill
-    rows = padded.data.shape[-1]
-    length = keep.shape[1]
-    idx = np.broadcast_to(np.arange(rows), (length, rows))
-    cols = tape.take_last(padded, idx)  # (..., L, rows)
-    fill = -cfg.sentinel if kind == "max" else cfg.sentinel
-    return _reduce(tape.mask_fill(cols, keep.T, fill), kind, cfg)
-
-
 def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
                    smooth_weights=None) -> Var:
     if isinstance(iv, SmoothInterval):
@@ -229,8 +140,6 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
         return _reduce(win, kind, cfg, weights=w)
 
     if iv is None:
-        if cfg.masked_fill:
-            return _fill_reduce_columns(child, build_subsignal_mask(length, length), kind, cfg)
         if isinstance(cfg.mode, SoftMax):
             pos = np.arange(length)[:, None] + np.arange(length)[None, :]
             keep = pos <= length - 1
@@ -239,9 +148,6 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
         return tape.cum_reduce(child, cfg.mode, 1.0 if kind == "max" else -1.0, reverse=True)
 
     padded = _pad_var(child, iv.b, length, cfg)
-    if cfg.masked_fill:
-        keep = combine_masks(build_subsignal_mask(length, length + iv.b), build_time_mask(length, iv))
-        return _fill_reduce_columns(padded, keep, kind, cfg)
     idx = np.arange(length)[:, None] + iv.a + np.arange(window_size(iv))[None, :]
     out = _reduce(tape.take_last(padded, idx), kind, cfg)
     return _replace_overrun(out, length, iv.b, pad_value(child, length, cfg))
@@ -270,12 +176,11 @@ def _lse_until_tiles(left: Var, right: Var, length: int, mode: LogSumExp) -> Var
 def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
     if isinstance(iv, SmoothInterval):
         raise TypeError("until does not support smooth intervals")
-    if iv is None and not cfg.masked_fill:
+    if iv is None:
         if isinstance(cfg.mode, Hard):
             return tape.hard_until(left, right)
         if isinstance(cfg.mode, LogSumExp):
             return _lse_until_tiles(left, right, length, cfg.mode)
-    if iv is None:
         a, count = 0, length
         outer_keep = (np.arange(length)[:, None] + np.arange(count)[None, :]) <= length - 1
         lp, rp = left, right
@@ -287,18 +192,6 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 
     t = np.arange(length)
     last = lp.data.shape[-1] - 1
-
-    if cfg.masked_fill:
-        keep_left, keep_right = build_until_masks(length, iv)
-        terms = []
-        for k in range(count):
-            pm = _fill_reduce_columns(lp, keep_left[:, :, k], "min", cfg)
-            rv = _fill_reduce_columns(rp, keep_right[:, :, k], "min", cfg)
-            terms.append(tape.pair_smooth_min(pm, rv, cfg.mode))
-        stacked = tape.stack_last(terms)
-        if outer_keep is not None:
-            stacked = tape.mask_fill(stacked, outer_keep, -cfg.sentinel)
-        return _reduce(stacked, "max", cfg)
 
     # column j of row t holds sample t + j of the left window; the prefix
     # min up to column a + k is the left reduction of window offset k

@@ -22,7 +22,6 @@ Predicates and boolean connectives come from the shared formula walker,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,26 +30,7 @@ from .core import Hard, NamedSignals, SemanticsConfig, SmoothInterval, Validatio
 from .formula import Formula, validate_against
 from .tape import Var
 
-__all__ = ["HiddenState", "trace_recurrent", "trace_var_recurrent"]
-
-
-@dataclass
-class HiddenState:
-    """Sliding buffer of recent child-trace values, earliest timestep first."""
-
-    capacity: int
-    values: deque = field(default_factory=deque)
-
-    def push_front(self, v):
-        self.values.appendleft(v)
-        if len(self.values) > self.capacity:
-            self.values.pop()
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+__all__ = ["trace_recurrent", "trace_var_recurrent"]
 
 
 def _reduce(values, kind: str, cfg: SemanticsConfig) -> Var:
@@ -81,17 +61,17 @@ def _ev_always_rec(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
     # entries whose window overruns the end take the padding value; for the
     # rest the buffer holds real samples only
     pad = masking.pad_value(child, length, cfg)
-    state = HiddenState(window_size(iv))
+    state = deque(maxlen=window_size(iv))
     for t in range(length - 1, -1, -1):
         if t + iv.b > length - 1:
             out[t] = pad
             continue
         if len(state) == 0:
             for k in range(iv.b, iv.a - 1, -1):
-                state.push_front(tape.index_last(child, t + k))
+                state.appendleft(tape.index_last(child, t + k))
         else:
-            state.push_front(tape.index_last(child, t + iv.a))
-        out[t] = _reduce(state.values, kind, cfg)
+            state.appendleft(tape.index_last(child, t + iv.a))
+        out[t] = _reduce(state, kind, cfg)
     return tape.stack_last(out)
 
 
@@ -100,15 +80,15 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
     # looked up once: the loops below call it for every timestep and offset
     pair_min, mode = tape.pair_smooth_min, cfg.mode
     if iv is None:
-        phi = HiddenState(length)
-        psi = HiddenState(length)
+        phi = deque(maxlen=length)
+        psi = deque(maxlen=length)
         for t in range(length - 1, -1, -1):
-            phi.push_front(tape.index_last(left, t))
-            psi.push_front(tape.index_last(right, t))
+            phi.appendleft(tape.index_last(left, t))
+            psi.appendleft(tape.index_last(right, t))
             pm = None
             terms = []
             # iterate rather than index: deque access by position is O(i)
-            for i, (phi_i, psi_i) in enumerate(zip(phi.values, psi.values)):
+            for i, (phi_i, psi_i) in enumerate(zip(phi, psi)):
                 pm = phi_i if i == 0 else pair_min(pm, phi_i, mode)
                 terms.append(pair_min(pm, psi_i, mode))
             out[t] = _reduce(terms, "max", cfg) if len(terms) > 1 else terms[0]
@@ -116,22 +96,22 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 
     count = window_size(iv)
     pad = pair_min(masking.pad_value(left, length, cfg), masking.pad_value(right, length, cfg), Hard())
-    phi = HiddenState(iv.b + 1)   # times t .. t+b
-    psi = HiddenState(count)      # times t+a .. t+b
+    phi = deque(maxlen=iv.b + 1)   # times t .. t+b
+    psi = deque(maxlen=count)      # times t+a .. t+b
     for t in range(length - 1, -1, -1):
         if t + iv.b > length - 1:
             out[t] = pad
             continue
         if len(phi) == 0:
             for k in range(iv.b, -1, -1):
-                phi.push_front(tape.index_last(left, t + k))
+                phi.appendleft(tape.index_last(left, t + k))
                 if k >= iv.a:
-                    psi.push_front(tape.index_last(right, t + k))
+                    psi.appendleft(tape.index_last(right, t + k))
         else:
-            phi.push_front(tape.index_last(left, t))
-            psi.push_front(tape.index_last(right, t + iv.a))
-        phi_vals = list(phi.values)
-        psi_vals = list(psi.values)
+            phi.appendleft(tape.index_last(left, t))
+            psi.appendleft(tape.index_last(right, t + iv.a))
+        phi_vals = list(phi)
+        psi_vals = list(psi)
         pm = phi_vals[0]
         for tau in range(1, iv.a + 1):
             pm = pair_min(pm, phi_vals[tau], mode)

@@ -22,7 +22,6 @@ __all__ = [
     "smooth_time_mask",
     "smooth_mask_weights",
     "AnnealSchedule",
-    "anneal",
 ]
 
 
@@ -159,8 +158,3 @@ class AnnealSchedule:
             return self.start + (self.end - self.start) * p
         frac = (sigmoid(12.0 * (p - 0.5)) - _SIGMOID_LO) / (_SIGMOID_HI - _SIGMOID_LO)
         return self.start + (self.end - self.start) * frac
-
-
-def anneal(schedule: AnnealSchedule, step: int) -> float:
-    """Value of the schedule at ``step``."""
-    return schedule.value(step)

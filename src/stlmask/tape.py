@@ -54,7 +54,6 @@ __all__ = [
     "index_last",
     "unsqueeze_last",
     "mask_fill",
-    "stop_grad",
     "hard_max",
     "smooth_max",
     "smooth_min",
@@ -72,6 +71,9 @@ class Var:
     """Node in the computation graph: an array plus a backward closure."""
 
     __slots__ = ("data", "grad", "_parents", "_vjp", "_seq")
+    # numpy defers to the reflected operators below instead of broadcasting
+    # an ndarray left operand into an object array of Vars
+    __array_ufunc__ = None
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -248,10 +250,6 @@ def mask_fill(a, keep: np.ndarray, fill: float) -> Var:
     out = Var(np.where(keep, a.data, fill), (a,))
     out._vjp = lambda g: _accum(a, _unbroadcast(g * keep, a.data.shape))
     return out
-
-
-def stop_grad(a) -> Var:
-    return Var(as_var(a).data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared corpus generation for the equivalence and gradient suites."""
+"""Shared corpus generation for the equivalence and gradient suites, and the
+materialized keep-masks that the masked engine's gathers are checked against."""
 
 import numpy as np
 
@@ -6,11 +7,75 @@ from stlmask.core import (
     NamedSignals,
     PaddingPolicy,
     SemanticsConfig,
+    ShapeError,
     StepInterval,
+    window_size,
 )
 from stlmask.formula import TRUE, Always, And, Eventually, Not, Or, Pred, Until
 
 CHANNELS = ("x", "y")
+
+
+# ---------------------------------------------------------------------------
+# Materialized keep-masks: entry (r, t) == True keeps row r of the unrolled
+# signal in column t's reduction
+# ---------------------------------------------------------------------------
+
+def build_subsignal_mask(length: int, rows: int) -> np.ndarray:
+    """Keep entry (r, t) iff ``r >= t``: column t starts at its own timestep."""
+    if not (rows >= length >= 1):
+        raise ShapeError(f"need rows >= length >= 1, got rows={rows}, length={length}")
+    r = np.arange(rows)[:, None]
+    t = np.arange(length)[None, :]
+    return r >= t
+
+
+def build_time_mask(length: int, iv: StepInterval) -> np.ndarray:
+    """Keep entry (r, t) iff ``t + a <= r <= t + b``; rows = length + b."""
+    rows = length + iv.b
+    r = np.arange(rows)[:, None]
+    t = np.arange(length)[None, :]
+    return (r >= t + iv.a) & (r <= t + iv.b)
+
+
+def combine_masks(subsig: np.ndarray, time: np.ndarray) -> np.ndarray:
+    """Intersection of the kept regions."""
+    if subsig.shape != time.shape:
+        raise ShapeError(f"mask shapes differ: {subsig.shape} vs {time.shape}")
+    return subsig & time
+
+
+def build_unrolled(values, rows: int, padding: PaddingPolicy) -> np.ndarray:
+    """(rows, L) array whose every column is the padded input."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    length = values.shape[0]
+    if rows < length:
+        raise ShapeError(f"rows {rows} < signal length {length}")
+    pad_value = values[-1] if padding.kind == "last" else padding.value
+    padded = np.concatenate([values, np.full(rows - length, pad_value)])
+    return np.repeat(padded[:, None], length, axis=1)
+
+
+def build_until_masks(length: int, iv: StepInterval | None):
+    """3D keep-masks for the until construction, shape (rows, L, K).
+
+    Slice k of the left mask keeps, in column t, rows ``t .. t+a+k``; slice k
+    of the right mask keeps only row ``t+a+k``.  Without an interval the
+    window spans the remaining signal (a=0, K=L, no padding rows) and slices
+    reaching past the signal end keep nothing in that column.
+    """
+    if iv is None:
+        a, count, rows = 0, length, length
+    else:
+        a, count, rows = iv.a, window_size(iv), length + iv.b
+    r = np.arange(rows)[:, None, None]
+    t = np.arange(length)[None, :, None]
+    k = np.arange(count)[None, None, :]
+    end = t + a + k
+    valid = end <= rows - 1
+    left = (r >= t) & (r <= end) & valid
+    right = (r == end) & valid
+    return left, right
 
 
 def random_formula(rng, depth, max_window=6, until_ok=True):

@@ -140,11 +140,5 @@ class TestConfig:
     def test_defaults(self):
         cfg = SemanticsConfig()
         assert isinstance(cfg.mode, Hard)
-        assert cfg.sentinel == 1e5
         assert cfg.top_value == 1e5
         assert cfg.padding.kind == "last"
-        assert not cfg.masked_fill
-
-    def test_bad_sentinel(self):
-        with pytest.raises(ValueError):
-            SemanticsConfig(sentinel=0.0)

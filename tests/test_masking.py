@@ -7,6 +7,11 @@ import pytest
 
 from helpers import (
     CHANNELS,
+    build_subsignal_mask,
+    build_time_mask,
+    build_unrolled,
+    build_until_masks,
+    combine_masks,
     corpus_config,
     equivalence_case,
     gathered_until,
@@ -31,11 +36,6 @@ from stlmask.core import (
 from stlmask.formula import TRUE, Always, Eventually, Not, parse
 from stlmask.masking import (
     always_trace,
-    build_subsignal_mask,
-    build_time_mask,
-    build_unrolled,
-    build_until_masks,
-    combine_masks,
     eventually_trace,
     robustness,
     robustness_trace,
@@ -240,7 +240,7 @@ class TestUntil:
 def gathered_untimed_until(left, right, length, iv, cfg):
     """The until kernel with untimed hard and log-sum-exp until as one
     square gather, the formulation the scan and the start-row tiles replace."""
-    if iv is None and not cfg.masked_fill and not isinstance(cfg.mode, SoftMax):
+    if iv is None and not isinstance(cfg.mode, SoftMax):
         return gathered_until(left, right, length, cfg.mode)
     return masking._until_var(left, right, length, iv, cfg)
 
@@ -424,32 +424,3 @@ class TestRobustnessTrace:
         with pytest.raises(TypeError):
             until_trace([1.0, 2.0], [1.0, 2.0], SmoothInterval(0.2, 0.8, 4.0), LAST)
 
-
-class TestMaskedFillCompat:
-    def test_example_matrix_arithmetic(self):
-        # fill semantics reduce real+pad columns, so entries 5 and 6 keep the
-        # real maxima and only the all-pad column turns into the sentinel
-        cfg = SemanticsConfig(padding=PaddingPolicy.constant(-1e5), masked_fill=True)
-        np.testing.assert_array_equal(
-            robustness_trace(parse("F[1,3] (s > 0)"), S8, cfg),
-            [3, 4, 5, 6, 7, 7, 7, -1e5])
-
-    def test_fill_equals_default_when_no_overrun(self):
-        rng = np.random.default_rng(39)
-        for _ in range(20):
-            length = int(rng.integers(6, 15))
-            inner = rng.normal(0, 2, length)
-            iv = StepInterval(0, int(rng.integers(0, 4)))
-            plain = SemanticsConfig()
-            fill = SemanticsConfig(masked_fill=True)
-            got_p = eventually_trace(inner, iv, plain)[: length - iv.b]
-            got_f = eventually_trace(inner, iv, fill)[: length - iv.b]
-            np.testing.assert_array_equal(got_p, got_f)
-
-    def test_fill_until_runs(self):
-        rng = np.random.default_rng(40)
-        left, right = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
-        cfg = SemanticsConfig(masked_fill=True)
-        out = until_trace(left, right, StepInterval(1, 3), cfg)
-        plain = until_trace(left, right, StepInterval(1, 3), SemanticsConfig())
-        np.testing.assert_allclose(out[:4], plain[:4], atol=1e-12)

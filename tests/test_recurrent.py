@@ -16,20 +16,11 @@ from stlmask.core import (
 )
 from stlmask.formula import Always, Pred, parse
 from stlmask.masking import robustness_trace, trace_var
-from stlmask.recurrent import HiddenState, trace_recurrent, trace_var_recurrent
+from stlmask.recurrent import trace_recurrent, trace_var_recurrent
 from stlmask.reference import trace_ref
 from stlmask.tape import Var, backward
 
 S8 = NamedSignals.from_arrays({"s": np.arange(8.0)})
-
-
-class TestHiddenState:
-    def test_sliding_capacity(self):
-        st = HiddenState(3)
-        for v in range(5):
-            st.push_front(v)
-        assert list(st.values) == [4, 3, 2]
-        assert len(st) <= st.capacity
 
 
 class TestEquivalence:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stlmask.core import EmptyWindowError, Hard, LogSumExp, SmoothInterval, SoftMax
 from stlmask.smoothing import (
     AnnealSchedule,
-    anneal,
     sigmoid,
     smooth_mask_weights,
     smooth_max,
@@ -176,29 +175,29 @@ class TestTimeMask:
 class TestAnneal:
     def test_constant(self):
         sch = AnnealSchedule.constant(5.0)
-        assert anneal(sch, 0) == 5.0
-        assert anneal(sch, 12345) == 5.0
+        assert sch.value(0) == 5.0
+        assert sch.value(12345) == 5.0
 
     def test_linear_midpoint(self):
         sch = AnnealSchedule.linear(1e-9, 10.0, 100)
-        assert anneal(sch, 50) == pytest.approx(5.0, abs=1e-7)
+        assert sch.value(50) == pytest.approx(5.0, abs=1e-7)
 
     def test_sigmoid_endpoints_exact(self):
         sch = AnnealSchedule.sigmoid(1.0, 100.0, 200)
-        assert anneal(sch, 0) == 1.0
-        assert anneal(sch, 200) == pytest.approx(100.0, rel=0.003)
-        assert anneal(sch, 200) == 100.0
+        assert sch.value(0) == 1.0
+        assert sch.value(200) == pytest.approx(100.0, rel=0.003)
+        assert sch.value(200) == 100.0
 
     def test_monotone(self):
         for kind in ("linear", "sigmoid"):
             sch = AnnealSchedule(kind, 2.0, 50.0, 64)
-            vals = [anneal(sch, k) for k in range(65)]
+            vals = [sch.value(k) for k in range(65)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_step_bounds(self):
         sch = AnnealSchedule.linear(1.0, 2.0, 10)
         with pytest.raises(ValueError):
-            anneal(sch, 11)
+            sch.value(11)
 
     def test_sigmoid_shape(self):
         assert sigmoid(0.0) == 0.5

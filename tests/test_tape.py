@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -56,11 +58,30 @@ class TestElementwise:
         backward(out)
         np.testing.assert_allclose(v.grad, [1.0, 0.0, 1.0])
 
-    def test_stop_grad(self):
-        v = Var(np.array([2.0]))
-        out = tape.vsum(v * tape.stop_grad(v))
-        backward(out)
-        np.testing.assert_allclose(v.grad, [2.0])
+    @pytest.mark.parametrize("op,dx", [
+        (operator.add, lambda a, x: np.ones_like(x)),
+        (operator.sub, lambda a, x: -np.ones_like(x)),
+        (operator.mul, lambda a, x: a),
+        (operator.truediv, lambda a, x: -a / (x * x)),
+    ], ids=["add", "sub", "mul", "div"])
+    def test_ndarray_left_operand(self, op, dx):
+        # numpy must hand ``ndarray op Var`` to the reflected operator, not
+        # build an object array with one Var per entry
+        a = np.array([3.0, -1.0, 0.5])
+        x = Var(np.array([1.0, 2.0, 4.0]))
+        out = op(a, x)
+        assert isinstance(out, Var)
+        np.testing.assert_array_equal(out.data, op(a, x.data))
+        backward(tape.vsum(out))
+        np.testing.assert_allclose(x.grad, dx(a, x.data))
+
+    def test_numpy_scalar_left_operand(self):
+        x = Var(np.array([1.0, 2.0]))
+        out = np.float64(3.0) * x
+        assert isinstance(out, Var)
+        np.testing.assert_array_equal(out.data, [3.0, 6.0])
+        backward(tape.vsum(out))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 class TestShapes:
@@ -555,7 +576,7 @@ def composite_smooth_max(a, mode, weights=None):
     a = tape.as_var(a)
     if isinstance(mode, Hard):
         return tape.hard_max(a, weights)
-    m = tape.stop_grad(tape.hard_max(a, weights))
+    m = Var(tape.hard_max(a, weights).data)
     z = (a - tape.unsqueeze_last(m)) * mode.temp
     if weights is None:
         e = tape.exp(z)
