@@ -165,8 +165,8 @@ def planning_formula(cfg: PlannerConfig, si: SmoothInterval) -> Formula:
 def _planning_terms(u: Var, a: Var, b: Var, cfg: PlannerConfig, temp: float, sharp: float):
     length = cfg.horizon + 1
     ux, uy = tape.index_last(u, 0), tape.index_last(u, 1)
-    px = tape.concat_last([Var(np.array([cfg.start[0]])), tape.cumsum0(ux) * cfg.dt + cfg.start[0]])
-    py = tape.concat_last([Var(np.array([cfg.start[1]])), tape.cumsum0(uy) * cfg.dt + cfg.start[1]])
+    px = tape.concat_last([np.array([cfg.start[0]]), tape.cumsum0(ux) * cfg.dt + cfg.start[0]])
+    py = tape.concat_last([np.array([cfg.start[1]]), tape.cumsum0(uy) * cfg.dt + cfg.start[1]])
     # placeholder interval; trace_var rebinds (a, b, c) to the taped values
     si = SmoothInterval(0.25, 0.75, sharp)
     phi = planning_formula(cfg, si)

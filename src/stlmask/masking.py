@@ -10,9 +10,10 @@ offsets.  Untimed until avoids the ``(L, L)`` square of windows:
 
 * in hard mode it is one ``tape.hard_until`` node, a log-depth scan of the
   clamps ``u -> min(l_t, max(r_t, u))`` in O(L) memory with exact values;
-* in log-sum-exp mode the start rows are split into ``UNTIL_TILES`` tiles,
-  and tile ``[t0, t1)`` gathers windows of width ``L - t0`` only, which
-  trims the masked-out triangle and bounds each tile's temporaries.
+* in log-sum-exp mode it is one ``tape.lse_until`` node, which sums the
+  windows in the exp domain centred on that hard until, one tile of start
+  rows at a time, keeps only O(L) arrays and recomputes the tiles in its
+  vjp.
 
 The dispatch over formula nodes is :func:`walk`, shared with the recurrent
 engine: the two tape engines differ only in the ``F``/``G`` and ``U`` kernels
@@ -96,7 +97,7 @@ def _pad_var(x: Var, count: int, length: int, cfg: SemanticsConfig) -> Var:
     if cfg.padding.kind == "last":
         return tape.concat_last([x, tape.take_last(x, np.full(count, length - 1, dtype=np.intp))])
     fill = np.full(x.data.shape[:-1] + (count,), cfg.padding.value)
-    return tape.concat_last([x, Var(fill)])
+    return tape.concat_last([x, fill])
 
 
 def _reduce(x, kind: str, cfg: SemanticsConfig, weights=None) -> Var:
@@ -153,26 +154,6 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
     return _replace_overrun(out, length, iv.b, pad_value(child, length, cfg))
 
 
-#: Start-row tiles of the untimed log-sum-exp until (at most one per row).
-#: Tile ``[t0, t1)`` gathers windows of width ``L - t0``, which trims the
-#: masked-out triangle of the square gather.  For batch-8 gradients at L of
-#: 256 and 512, eight tiles ran within 11% of the fastest count from 1 to 32;
-#: more tiles add iterations to the scan vjp's loop over the window axis.
-UNTIL_TILES = 8
-
-
-def _lse_until_tiles(left: Var, right: Var, length: int, mode: LogSumExp) -> Var:
-    last = length - 1
-    tiles = []
-    for rows in np.array_split(np.arange(length), min(length, UNTIL_TILES)):
-        pos = rows[:, None] + np.arange(length - rows[0])[None, :]
-        idx = np.minimum(pos, last)
-        pm = tape.cum_reduce(tape.take_last(left, idx), mode, -1.0)
-        stacked = tape.pair_smooth_min(pm, tape.take_last(right, idx), mode)
-        tiles.append(tape.smooth_max(stacked, mode, weights=(pos <= last).astype(np.float64)))
-    return tape.concat_last(tiles)
-
-
 def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
     if isinstance(iv, SmoothInterval):
         raise TypeError("until does not support smooth intervals")
@@ -180,7 +161,7 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
         if isinstance(cfg.mode, Hard):
             return tape.hard_until(left, right)
         if isinstance(cfg.mode, LogSumExp):
-            return _lse_until_tiles(left, right, length, cfg.mode)
+            return tape.lse_until(left, right, cfg.mode)
         a, count = 0, length
         outer_keep = (np.arange(length)[:, None] + np.arange(count)[None, :]) <= length - 1
         lp, rp = left, right
@@ -225,7 +206,7 @@ def smooth_weights_var(a, b, c, eps: float, length: int) -> Var:
     is the difference of two values near 1 (see
     ``smoothing.smooth_time_mask``)."""
     a, b = tape.as_var(a), tape.as_var(b)
-    i = Var(np.arange(length, dtype=np.float64))
+    i = np.arange(length, dtype=np.float64)
     flip = np.where(np.arange(length) > (a.data + b.data) * (0.5 * length), -1.0, 1.0)
     lo = tape.sigmoid((i - a * float(length)) * (c * flip))
     hi = tape.sigmoid((i - b * float(length)) * (c * flip))

@@ -177,8 +177,8 @@ def gathered_until(left, right, length, mode):
     """Untimed until as one gather of every start's window: prefix mins
     along the window, paired with the right operand, max over offsets.  The
     single-gather formulation the masked engine used for untimed until in
-    hard and log-sum-exp mode, kept as a reference for the scan and the
-    start-row tiles."""
+    hard and log-sum-exp mode, kept as a reference for ``tape.hard_until``
+    and ``tape.lse_until``."""
     from stlmask import tape
 
     pos = np.arange(length)[:, None] + np.arange(length)[None, :]
@@ -186,3 +186,38 @@ def gathered_until(left, right, length, mode):
     pm = tape.cum_reduce(tape.take_last(left, idx), mode, -1.0)
     stacked = tape.pair_smooth_min(pm, tape.take_last(right, idx), mode)
     return tape.smooth_max(stacked, mode, weights=(pos <= length - 1).astype(np.float64))
+
+
+def long_double_until(left, right, tau, cotangent):
+    """Untimed log-sum-exp until in ``np.longdouble``, one start at a time.
+
+    For start ``t`` and window end ``j >= t`` the pairing is
+    ``v_tj = -log(sum_{i=t..j} exp(-tau l_i) + exp(-tau r_j)) / tau`` and the
+    trace is ``out_t = log(sum_j exp(tau v_tj)) / tau``, all in log space.
+    Returns the trace and the gradients of ``sum(cotangent * trace)`` with
+    respect to both operands, rounded to float64: with the softmax weights
+    ``w_tj = exp(tau (v_tj - out_t))``, ``d out_t / d r_j = w_tj
+    exp(-tau r_j + tau v_tj)`` and ``d out_t / d l_i = sum_{j >= i} w_tj
+    exp(-tau l_i + tau v_tj)``.
+    """
+    ld = np.longdouble
+    left, right = np.broadcast_arrays(np.asarray(left, dtype=ld), np.asarray(right, dtype=ld))
+    g = np.broadcast_to(np.asarray(cotangent, dtype=ld), left.shape)
+    tau = ld(tau)
+    out = np.empty(left.shape, dtype=ld)
+    grad_l = np.zeros(left.shape, dtype=ld)
+    grad_r = np.zeros(left.shape, dtype=ld)
+    for row in np.ndindex(left.shape[:-1]):
+        neg_l, neg_r = -tau * left[row], -tau * right[row]
+        for t in range(left.shape[-1]):
+            # tau v_tj = -log_den
+            log_den = np.logaddexp(np.logaddexp.accumulate(neg_l[t:]), neg_r[t:])
+            peak = np.max(-log_den)
+            tau_out = peak + np.log(np.sum(np.exp(-log_den - peak)))
+            out[row + (t,)] = tau_out / tau
+            # log of w_tj exp(tau v_tj), summed over j >= i for the left gradient
+            log_w = -2 * log_den - tau_out
+            grad_r[row][t:] += g[row + (t,)] * np.exp(neg_r[t:] + log_w)
+            tail = np.flip(np.logaddexp.accumulate(np.flip(log_w)))
+            grad_l[row][t:] += g[row + (t,)] * np.exp(neg_l[t:] + tail)
+    return out.astype(np.float64), grad_l.astype(np.float64), grad_r.astype(np.float64)

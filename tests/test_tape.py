@@ -3,7 +3,7 @@ import operator
 import numpy as np
 import pytest
 
-from helpers import gathered_until, sequential_until
+from helpers import gathered_until, long_double_until, sequential_until
 from stlmask import tape
 from stlmask.core import EmptyWindowError, Hard, LogSumExp, SoftMax
 from stlmask.smoothing import smooth_max as ref_max, smooth_min as ref_min
@@ -28,6 +28,17 @@ def check_grad(build, x0, atol=1e-7):
     backward(out)
     numeric = numeric_grad(lambda arr: float(build(Var(arr)).data), x0)
     np.testing.assert_allclose(v.grad, numeric, atol=atol)
+
+
+# operations for the constant-operand test: ``c`` is the constant
+CONST_OPS = {
+    "add": lambda c, v: v + c, "radd": lambda c, v: c + v,
+    "sub": lambda c, v: v - c, "rsub": lambda c, v: c - v,
+    "mul": lambda c, v: v * c, "rmul": lambda c, v: c * v,
+    "div": lambda c, v: v / c, "rdiv": lambda c, v: c / v,
+    "concat": lambda c, v: tape.concat_last([c, v, c]),
+}
+CONSTANTS = {"array": np.array([[0.5], [-1.5]]), "scalar": 2.5}
 
 
 class TestElementwise:
@@ -74,6 +85,25 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, op(a, x.data))
         backward(tape.vsum(out))
         np.testing.assert_allclose(x.grad, dx(a, x.data))
+
+    @pytest.mark.parametrize("op,kind", [(op, kind) for op in CONST_OPS for kind in CONSTANTS
+                                         if op != "concat" or kind == "array"])
+    def test_ndarray_operand_is_a_constant(self, op, kind):
+        const, build = CONSTANTS[kind], CONST_OPS[op]
+        rng = np.random.default_rng(14)
+        x0 = rng.uniform(0.5, 2.0, (2, 3))
+        x, ref, ref_const = Var(x0), Var(x0), Var(const)
+        out, taped = build(const, x), build(ref_const, ref)
+        # no leaf for the constant and no neg node in front of the operand
+        assert out._parents == (x,)
+        assert np.array_equal(out.data, taped.data)
+        seed = rng.normal(0, 1, out.shape)
+        backward(out, seed)
+        backward(taped, seed)
+        assert np.array_equal(x.grad, ref.grad)
+        if op == "concat":
+            assert np.array_equal(x.grad, seed[:, 1:4])
+        assert tape.add(np.ones(2), 3.0)._parents == ()
 
     def test_numpy_scalar_left_operand(self):
         x = Var(np.array([1.0, 2.0]))
@@ -512,7 +542,30 @@ class TestCumReduce:
         backward(out, g)
         data, grad = old_suffix_lse_max(sign * x0, sign * g, tau)
         assert np.array_equal(out.data, sign * data)
-        assert np.array_equal(x.grad, sign * grad)
+        # the vjp's doubling scan sums in another order than the old loop
+        assert np.max(np.abs(x.grad - sign * grad)) <= 1e-14 * np.max(np.abs(grad))
+
+    def test_lse_grad_scan_no_less_accurate_than_loop(self):
+        # error of each vjp against the exact vjp of the same forward values,
+        # summed in long double, relative to max|grad|
+        ld = np.longdouble
+        errors = {"scan": [], "loop": []}
+        for tau in (0.5, 10.0, 500.0):
+            for length in (256, 1024):
+                rng = np.random.default_rng(length)
+                x0, g = rng.normal(0, 2, (3, length)), rng.normal(0, 1, (3, length))
+                x = Var(x0)
+                out = tape.cum_reduce(x, LogSumExp(tau), 1.0, reverse=True)
+                backward(out, g)
+                weights = np.exp(ld(tau) * (x0.astype(ld)[..., None, :] - out.data.astype(ld)[..., :, None]))
+                weights *= np.arange(length)[None, :] >= np.arange(length)[:, None]
+                exact = np.einsum("...t,...tj->...j", g.astype(ld), weights)
+                scale = float(np.max(np.abs(exact)))
+                loop = old_suffix_lse_max(x0, g, tau)[1]
+                for name, grad in (("scan", x.grad), ("loop", loop)):
+                    errors[name].append(float(np.max(np.abs(grad - exact))) / scale)
+        assert max(errors["scan"]) <= 1e-14
+        assert max(errors["scan"]) <= max(errors["loop"])
 
     @pytest.mark.parametrize("mode", [Hard(), LogSumExp(0.5), LogSumExp(15.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -692,3 +745,42 @@ class TestHardUntil:
     def test_is_one_node(self):
         left, right = Var(np.array([1.0, -2.0, 3.0])), Var(np.array([0.5, 2.0, -1.0]))
         assert tape.hard_until(left, right)._parents == (left, right)
+
+
+class TestLseUntil:
+    """``lse_until``; its agreement with the gathered until and with a
+    long-double reference is checked in ``test_masking.TestUntimedUntil``."""
+
+    def test_is_one_node(self):
+        left, right = Var(np.array([1.0, -2.0, 3.0])), Var(np.array([0.5, 2.0, -1.0]))
+        assert tape.lse_until(left, right, LogSumExp(2.0))._parents == (left, right)
+
+    def test_other_modes_rejected(self):
+        # a softmax temperature would otherwise be read as a log-sum-exp one
+        for mode in (Hard(), SoftMax(2.0)):
+            with pytest.raises(TypeError):
+                tape.lse_until(np.zeros(3), np.zeros(3), mode)
+
+    @pytest.mark.parametrize("tau", [10.0, 500.0])
+    def test_wide_range_operands_stay_finite_and_exact(self, tau):
+        # exponents reach tau * 400: without the cap exp overflows and the
+        # vjp forms inf * 0
+        rng = np.random.default_rng(40)
+        x0, y0 = rng.normal(0, 50, (2, 40)), rng.normal(0, 50, (2, 40))
+        g = rng.normal(0, 1, (2, 40))
+        left, right = Var(x0), Var(y0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = tape.lse_until(left, right, LogSumExp(tau))
+            backward(out, g)
+        for got, expect in zip((out.data, left.grad, right.grad), long_double_until(x0, y0, tau, g)):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+
+    def test_broadcast_operand_gets_summed_gradient(self):
+        rng = np.random.default_rng(41)
+        x0, y0 = rng.normal(0, 1, 6), rng.normal(0, 1, (3, 6))
+        g = rng.normal(0, 1, (3, 6))
+        left, right = Var(x0), Var(y0)
+        backward(tape.lse_until(left, right, LogSumExp(3.0)), g)
+        _, grad_l, grad_r = long_double_until(x0, y0, 3.0, g)
+        np.testing.assert_allclose(left.grad, grad_l.sum(axis=0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(right.grad, grad_r, rtol=0, atol=1e-13)
