@@ -1,12 +1,12 @@
 """Simultaneous robustness-trace computation via masked window reductions.
 
-Every trace entry is computed at once: the child trace is padded, unrolled so
-that column ``t`` holds the subsignal starting at ``t``, and a boolean mask
-selects the window entries, which a single min/max (or smooth) reduction then
-collapses column-wise.  Timed until gathers the left and right windows of
-every start index at once, takes the left prefix mins across window offsets,
-pairs each with the right value at that offset, and max-reduces across
-offsets.  Untimed until avoids the ``(L, L)`` square of windows:
+Every trace entry is computed at once: the child trace is gathered so that
+row ``t`` holds the window of the subsignal starting at ``t``, and a single
+min/max (or smooth) reduction collapses each row.  Timed until gathers the
+left and right windows of every start index at once, takes the left prefix
+mins across window offsets, pairs each with the right value at that offset,
+and max-reduces across offsets.  Untimed until gathers the ``(L, L)``
+square of windows in softmax mode only (clipped at the signal end):
 
 * in hard mode it is one ``tape.hard_until`` node, a log-depth scan of the
   clamps ``u -> min(l_t, max(r_t, u))`` in O(L) memory with exact values;
@@ -24,22 +24,20 @@ Windows are reduced over their kept entries only.  The implementation
 gathers them with ``tape.take_last`` instead of materializing mask products;
 the tests check it against reductions over the materialized masks built in
 ``tests/helpers.py``.  Running reductions are one ``tape.cum_reduce`` node in
-hard and log-sum-exp mode, exact for hard and equal by associativity of
-log-sum-exp:
+every mode (a scan, exact for hard, equal by associativity for log-sum-exp,
+and a convex recurrence of the window's own softmax average for softmax):
 
 * untimed eventually/always are suffix scans of the child trace,
 * until's left prefix mins are one prefix scan along the gathered window
   axis, so an until node has the same number of tape nodes at any length.
 
-Softmax mode has no such identity, so it always reduces each window in a
-single application, and until stacks one window reduction per offset over
-the square gather.
-
-Padding rule: a trace entry whose window overruns the signal end is replaced
-by the padding-derived constant (for until, the hard min of the two child
-padding values) — past the end only the assumed padding region is visible,
-and every operator reduces a constant region to that constant.  Windows that
-fit reduce over real samples only; untimed windows clip at the end instead.
+Padding rule: a trace entry whose window overruns the signal end is the
+padding-derived constant (for until, the hard min of the two child padding
+values) — past the end only the assumed padding region is visible, and every
+operator reduces a constant region to that constant.  Timed operators
+therefore gather only the ``L - b`` starts whose window fits, from the real
+samples, and append that constant for the rest.  Untimed windows clip at the
+end instead.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from .core import (
     SemanticsConfig,
     ShapeError,
     SmoothInterval,
-    SoftMax,
     StepInterval,
     ValidationError,
     window_size,
@@ -91,13 +88,16 @@ __all__ = [
 # Window helpers on tape variables (reductions run along the last axis)
 # ---------------------------------------------------------------------------
 
+def _padding(x: Var, count: int, length: int, cfg: SemanticsConfig):
+    """``count`` copies of the value assumed past the end of ``x``: a gather
+    of its last sample, or the padding constant as an array (no node)."""
+    if cfg.padding.kind == "last" and count:
+        return tape.take_last(x, np.full(count, length - 1, dtype=np.intp))
+    return np.full(x.data.shape[:-1] + (count,), cfg.padding.value)
+
+
 def _pad_var(x: Var, count: int, length: int, cfg: SemanticsConfig) -> Var:
-    if count == 0:
-        return x
-    if cfg.padding.kind == "last":
-        return tape.concat_last([x, tape.take_last(x, np.full(count, length - 1, dtype=np.intp))])
-    fill = np.full(x.data.shape[:-1] + (count,), cfg.padding.value)
-    return tape.concat_last([x, fill])
+    return x if count == 0 else tape.concat_last([x, _padding(x, count, length, cfg)])
 
 
 def _reduce(x, kind: str, cfg: SemanticsConfig, weights=None) -> Var:
@@ -113,19 +113,12 @@ def pad_value(child: Var, length: int, cfg: SemanticsConfig) -> Var:
     return Var(np.full(child.data.shape[:-1], cfg.padding.value))
 
 
-def _replace_overrun(out: Var, length: int, upper: int, pad_value: Var) -> Var:
-    """Overwrite entries whose window overruns the signal end by ``pad_value``.
-
-    Entry t is valid iff ``t + upper <= length - 1``; the rest read only the
-    assumed padding region, whose reduction is the padding value itself.
-    """
-    if upper == 0:
-        return out
-    keep = np.arange(length) < length - upper
-    replacement = tape.mul(tape.unsqueeze_last(pad_value), np.ones(length))
-    if not keep.any():
-        return replacement
-    return tape.mask_fill(out, keep, 0.0) + tape.mask_fill(replacement, ~keep, 0.0)
+def _then_padding(fit: Var | None, tail) -> Var:
+    """``fit`` for the starts whose window ends inside the signal, then
+    ``tail``: later windows read only padding, which reduces to itself."""
+    if fit is None:
+        return tape.as_var(tail)
+    return fit if tail.shape[-1] == 0 else tape.concat_last([fit, tail])
 
 
 def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
@@ -139,19 +132,23 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
         if not np.any(w_data > 0):
             raise EmptyWindowError("smooth interval produced an all-zero weight vector")
         return _reduce(win, kind, cfg, weights=w)
-
     if iv is None:
-        if isinstance(cfg.mode, SoftMax):
-            pos = np.arange(length)[:, None] + np.arange(length)[None, :]
-            keep = pos <= length - 1
-            win = tape.take_last(child, np.minimum(pos, length - 1))
-            return _reduce(win, kind, cfg, weights=keep.astype(np.float64))
         return tape.cum_reduce(child, cfg.mode, 1.0 if kind == "max" else -1.0, reverse=True)
+    fits = max(length - iv.b, 0)
+    idx = np.arange(fits)[:, None] + iv.a + np.arange(window_size(iv))[None, :]
+    fit = _reduce(tape.take_last(child, idx), kind, cfg) if fits else None
+    return _then_padding(fit, _padding(child, length - fits, length, cfg))
 
-    padded = _pad_var(child, iv.b, length, cfg)
-    idx = np.arange(length)[:, None] + iv.a + np.arange(window_size(iv))[None, :]
-    out = _reduce(tape.take_last(padded, idx), kind, cfg)
-    return _replace_overrun(out, length, iv.b, pad_value(child, length, cfg))
+
+def _gathered_until(left: Var, right: Var, idx: np.ndarray, a: int, mode, weights=None) -> Var:
+    """Until over the windows whose sample positions are the rows of ``idx``:
+    one scan of left prefix mins per row, each paired with the right value
+    from column ``a`` on, then a max over the pairs kept by ``weights``."""
+    pm = tape.cum_reduce(tape.take_last(left, idx), mode, -1.0)
+    if a > 0:
+        pm = tape.take_last(pm, np.arange(a, idx.shape[-1]))
+    stacked = tape.pair_smooth_min(pm, tape.take_last(right, idx[:, a:]), mode)
+    return tape.smooth_max(stacked, mode, weights)
 
 
 def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
@@ -162,35 +159,15 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
             return tape.hard_until(left, right)
         if isinstance(cfg.mode, LogSumExp):
             return tape.lse_until(left, right, cfg.mode)
-        a, count = 0, length
-        outer_keep = (np.arange(length)[:, None] + np.arange(count)[None, :]) <= length - 1
-        lp, rp = left, right
-    else:
-        a, count = iv.a, window_size(iv)
-        outer_keep = None
-        lp = _pad_var(left, iv.b, length, cfg)
-        rp = _pad_var(right, iv.b, length, cfg)
-
-    t = np.arange(length)
-    last = lp.data.shape[-1] - 1
-
-    # column j of row t holds sample t + j of the left window; the prefix
-    # min up to column a + k is the left reduction of window offset k
-    idx = np.minimum(t[:, None] + np.arange(a + count)[None, :], last)
-    if isinstance(cfg.mode, SoftMax):
-        pm = tape.stack_last([_reduce(tape.take_last(lp, idx[:, :a + k + 1]), "min", cfg)
-                              for k in range(count)])
-    else:
-        pm = tape.cum_reduce(tape.take_last(lp, idx), cfg.mode, -1.0)
-        if a > 0:
-            pm = tape.take_last(pm, np.arange(a, a + count))
-    stacked = tape.pair_smooth_min(pm, tape.take_last(rp, idx[:, a:]), cfg.mode)
-    weights = outer_keep.astype(np.float64) if outer_keep is not None else None
-    out = _reduce(stacked, "max", cfg, weights=weights)
-    if iv is None:
-        return out
-    pad = tape.pair_smooth_min(pad_value(left, length, cfg), pad_value(right, length, cfg), Hard())
-    return _replace_overrun(out, length, iv.b, pad)
+        # every start's window, clipped at the end and masked out past it
+        ends = np.arange(length)[:, None] + np.arange(length)[None, :]
+        return _gathered_until(left, right, np.minimum(ends, length - 1), 0, cfg.mode,
+                               (ends < length).astype(np.float64))
+    fits = max(length - iv.b, 0)
+    idx = np.arange(fits)[:, None] + np.arange(iv.b + 1)[None, :]
+    fit = _gathered_until(left, right, idx, iv.a, cfg.mode) if fits else None
+    tail = [_padding(x, length - fits, length, cfg) for x in (left, right)]
+    return _then_padding(fit, tape.pair_smooth_min(*tail, Hard()))
 
 
 # ---------------------------------------------------------------------------

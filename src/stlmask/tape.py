@@ -12,25 +12,27 @@ run along the last axis; leading axes act as batch dimensions.
 Each window max/min (``_hard_reduce``, ``_smooth_reduce``), each running
 max/min along the last axis (``cum_reduce``, a prefix or suffix scan) and
 each elementwise two-operand max/min (``_pair_reduce``) is a single tape
-node, built by one implementation per shape that takes the direction as a
-sign.  Untimed hard until is one ``hard_until`` node: a Hillis-Steele
-doubling scan of the clamps ``u -> min(H, max(M, u))``, which compose into
-clamps, so it takes log2(L) elementwise steps and O(L) memory.  Untimed
-log-sum-exp until is one ``lse_until`` node: its window sums are taken in
-the exp domain relative to that hard until, tile by tile of start rows, and
-its vjp recomputes each tile instead of keeping the ``(L, L)`` windows.  The
-log-sum-exp scan's vjp is a doubling scan too, of the linear recurrence
-that accumulates its window sums.  Hard reductions route the full
-subgradient to the first extremal entry of the window in ascending index
-order, or to the first operand on a pairwise tie; ``hard_until`` routes the
-same subgradient as the gathered until it stands for.  Gathers and hard
-scans scatter their gradient back with one flattened ``np.bincount``.
-Smooth window reductions factor out a detached maximum over the kept
-entries before exponentiation, so large temperatures cannot overflow, and
-route the analytic gradient to the input and the weights when each is a
-:class:`Var`.  An operand passed as an array or a number, to a reduction or
-to the elementwise arithmetic and ``concat_last``, is a constant: it gets
-no leaf node and no gradient.
+node in all three modes, built by one implementation per shape that takes
+the direction as a sign.  The running softmax average is a convex
+recurrence weighted from the log-sum-exp running scan; it and both smooth
+scans' vjps are doubling scans of linear recurrences (``_linear_scan``), so
+no scan loops over the length in Python.  Untimed hard until is one
+``hard_until`` node: a Hillis-Steele doubling scan of the clamps
+``u -> min(H, max(M, u))``, which compose into clamps, so it takes log2(L)
+elementwise steps and O(L) memory.  Untimed log-sum-exp until is one
+``lse_until`` node: its window sums are taken in the exp domain relative to
+that hard until, tile by tile of start rows, and its vjp recomputes each
+tile instead of keeping the ``(L, L)`` windows.  Hard reductions route the
+full subgradient to the first extremal entry of the window in ascending
+index order, or to the first operand on a pairwise tie; ``hard_until``
+routes the same subgradient as the gathered until it stands for.  Gathers
+and hard scans scatter their gradient back with one flattened
+``np.bincount``.  Smooth window reductions factor out a detached maximum
+over the kept entries before exponentiation, so large temperatures cannot
+overflow, and route the analytic gradient to the input and the weights when
+each is a :class:`Var`.  An operand passed as an array or a number, to a
+reduction, a pairwise max/min, the elementwise arithmetic or
+``concat_last``, is a constant: it gets no leaf node and no gradient.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ __all__ = [
     "concat_last",
     "take_last",
     "index_last",
-    "unsqueeze_last",
-    "mask_fill",
     "hard_max",
     "smooth_max",
     "smooth_min",
@@ -177,38 +177,51 @@ def _array(x):
     return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _binary(a, b, data, da, db) -> Var:
-    """Node for ``data = f(a, b)``.  Only :class:`Var` operands become
-    parents; ``da``/``db`` map the cotangent to each one's gradient."""
+class _BinaryVjp:
+    """Sends the cotangent times each factor of ``da`` in turn to ``a``
+    (``None``: a constant), likewise to ``b``.  One object per node, not a
+    closure and its cells, keeps big graphs cheap for the garbage collector."""
+
+    __slots__ = ("a", "b", "da", "db")
+
+    def __init__(self, a, b, da, db):
+        self.a, self.b, self.da, self.db = a, b, da, db
+
+    def __call__(self, g):
+        for v, factors in ((self.a, self.da), (self.b, self.db)):
+            if v is not None:
+                gv = g
+                for f in factors:
+                    gv = gv * f
+                _accum(v, _unbroadcast(gv, v.data.shape))
+
+
+def _binary(a, b, data, da=(), db=()) -> Var:
+    """Node for ``data = f(a, b)``, the partial derivatives as factor tuples;
+    only :class:`Var` operands become parents."""
     ta, tb = isinstance(a, Var), isinstance(b, Var)
-    out = Var(data, tuple(v for v, taped in ((a, ta), (b, tb)) if taped))
-    if not out._parents:
-        return out
-    def vjp(g):
-        if ta:
-            _accum(a, _unbroadcast(da(g), a.data.shape))
-        if tb:
-            _accum(b, _unbroadcast(db(g), b.data.shape))
-    out._vjp = vjp
+    out = Var(data, (a, b) if ta and tb else (a,) if ta else (b,) if tb else ())
+    if out._parents:
+        out._vjp = _BinaryVjp(a if ta else None, b if tb else None, da, db)
     return out
 
 
 def add(a, b) -> Var:
-    return _binary(a, b, _array(a) + _array(b), lambda g: g, lambda g: g)
+    return _binary(a, b, _array(a) + _array(b))
 
 
 def sub(a, b) -> Var:
-    return _binary(a, b, _array(a) - _array(b), lambda g: g, lambda g: -g)
+    return _binary(a, b, _array(a) - _array(b), (), (-1.0,))
 
 
 def mul(a, b) -> Var:
     x, y = _array(a), _array(b)
-    return _binary(a, b, x * y, lambda g: g * y, lambda g: g * x)
+    return _binary(a, b, x * y, (y,), (x,))
 
 
 def div(a, b) -> Var:
     x, y = _array(a), _array(b)
-    return _binary(a, b, x / y, lambda g: g / y, lambda g: -g * x / (y * y))
+    return _binary(a, b, x / y, (1.0 / y,), (-x / y / y,))
 
 
 def neg(a) -> Var:
@@ -264,14 +277,6 @@ def square(a) -> Var:
     return out
 
 
-def mask_fill(a, keep: np.ndarray, fill: float) -> Var:
-    """Replace entries where ``keep`` is False by ``fill``; their grad is cut."""
-    a = as_var(a)
-    out = Var(np.where(keep, a.data, fill), (a,))
-    out._vjp = lambda g: _accum(a, _unbroadcast(g * keep, a.data.shape))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Shape / gather primitives
 # ---------------------------------------------------------------------------
@@ -316,13 +321,6 @@ def concat_last(vs) -> Var:
             if isinstance(v, Var):
                 _accum(v, g[..., end - d.shape[-1]:end])
     out._vjp = vjp
-    return out
-
-
-def unsqueeze_last(a) -> Var:
-    a = as_var(a)
-    out = Var(a.data[..., None], (a,))
-    out._vjp = lambda g: _accum(a, _unbroadcast(g, a.data[..., None].shape).reshape(a.data.shape))
     return out
 
 
@@ -467,23 +465,19 @@ def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:
     is ``logaddexp(st * a, st * b) / st`` with d/da = ``exp(st * (a - out))``,
     and softmax averages the operands with weights ``exp(st * (x - m))``,
     ``m`` their max (sign +1) or min (sign -1), with
-    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.
+    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.  A non-``Var``
+    operand is a constant.
     """
-    a, b = as_var(a), as_var(b)
-    x, y = a.data, b.data
+    x, y = _array(a), _array(b)
     if isinstance(mode, Hard):
         first = x >= y if sign > 0 else x <= y
-        out = Var(np.where(first, x, y), (a, b))
-        out._vjp = lambda g: _accum_pair(a, b, g * first, g * ~first)
-        return out
+        return _binary(a, b, np.where(first, x, y), (first,), (~first,))
     if isinstance(mode, LogSumExp):
         st = sign * mode.temp
         data = np.logaddexp(st * x, st * y) / st
         wa = np.exp(st * (x - data))
         wb = np.exp(st * (y - data))
-        out = Var(data, (a, b))
-        out._vjp = lambda g: _accum_pair(a, b, g * wa, g * wb)
-        return out
+        return _binary(a, b, data, (wa,), (wb,))
     if isinstance(mode, SoftMax):
         st = sign * mode.temp
         m = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
@@ -491,10 +485,8 @@ def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:
         eb = np.exp(st * (y - m))
         den = ea + eb
         data = (x * ea + y * eb) / den
-        out = Var(data, (a, b))
-        out._vjp = lambda g: _accum_pair(a, b, g * (ea / den) * (1.0 + st * (x - data)),
-                                         g * (eb / den) * (1.0 + st * (y - data)))
-        return out
+        return _binary(a, b, data, (ea / den, 1.0 + st * (x - data)),
+                       (eb / den, 1.0 + st * (y - data)))
     raise TypeError(f"unsupported mode: {mode!r}")
 
 
@@ -565,21 +557,37 @@ def _lse_cum_grad(g, y, run, tau: float, reverse: bool) -> np.ndarray:
     return grad if reverse else np.flip(grad, axis=-1)
 
 
+def _softmax_cum_grad(g, y, u, carry, tau: float) -> np.ndarray:
+    """d/dy of ``u``, the softmax averages of ``y`` over the suffix windows
+    ``y[..., t:]``, where ``u_t = carry_t u_{t+1} + (1 - carry_t) y_t``.
+
+    ``d u_t / d y_j = w_tj (1 + tau (y_j - u_t))`` with ``w_tj = carry_t ...
+    carry_{j-1} (1 - carry_j)``, so the gradient is ``(1 - carry_j) ((1 + tau
+    (y_j - u_j)) A_j - tau B_j)`` with ``A_j = g_j + carry_{j-1} A_{j-1}``
+    (the log-sum-exp vjp's recurrence) and ``B_j = carry_{j-1} (B_{j-1} +
+    (u_{j-1} - u_j) A_{j-1})``: two doubling scans."""
+    ratio = np.concatenate([np.zeros(carry.shape[:-1] + (1,)), carry[..., :-1]], axis=-1)
+    acc = _linear_scan(ratio, g)
+    step = np.zeros(acc.shape)
+    step[..., 1:] = ratio[..., 1:] * (u[..., :-1] - u[..., 1:]) * acc[..., :-1]
+    return (1.0 - carry) * ((1.0 + tau * (y - u)) * acc - tau * _linear_scan(ratio, step))
+
+
 def cum_reduce(a, mode: Mode, sign: float, reverse: bool = False) -> Var:
     """Running ``sign * reduce-max(sign * a)`` along the last axis, one node.
 
     ``out[..., t]`` reduces ``a[..., :t + 1]``, or ``a[..., t:]`` with
     ``reverse``.  Hard mode is exact, with the first-extremum subgradient;
-    log-sum-exp scans with ``np.logaddexp`` (exact by associativity).
-    Softmax has no such identity and raises ``TypeError``.  The backward
-    pass rebuilds ``sign * a`` and the running max from the input and output.
+    log-sum-exp scans with ``np.logaddexp`` (exact by associativity).  The
+    softmax average is the convex recurrence ``u_j = c_j u_{j-1} + (1 - c_j)
+    y_j`` in scan order (a :func:`_linear_scan`), where ``c_j = D_{j-1} /
+    D_j``, the sigmoid of ``log D_{j-1} - tau y_j``, is the share of the
+    normaliser ``D_j = sum_{i <= j} exp(tau y_i)`` that ``u_{j-1}`` holds.
     """
     a = as_var(a)
-
-    def scan(op, v):
-        if reverse:
-            return np.flip(op.accumulate(np.flip(v, axis=-1), axis=-1), axis=-1)
-        return op.accumulate(v, axis=-1)
+    flip = lambda v: np.flip(v, axis=-1)
+    order = flip if reverse else (lambda v: v)  # native to scan order and back
+    scan = lambda op, v: order(op.accumulate(order(v), axis=-1))
 
     # the closures hold the output array, not the node: a node referenced
     # from its own vjp would form a cycle that keeps its graph alive
@@ -594,8 +602,22 @@ def cum_reduce(a, mode: Mode, sign: float, reverse: bool = False) -> Var:
         data = sign * (scan(np.logaddexp, (sign * tau) * a.data) / tau)
         def vjp(g):
             _accum(a, _lse_cum_grad(g, sign * a.data, sign * data, tau, reverse))
+    elif isinstance(mode, SoftMax):
+        tau = mode.temp
+        back = (lambda v: v) if reverse else flip  # native to suffix-window order
+        # shifting by the detached row max keeps the scanned logs small
+        shift = np.max(sign * a.data, axis=-1, keepdims=True)
+        y = sign * a.data - shift
+        z = tau * order(y)
+        run = np.logaddexp.accumulate(z, axis=-1)
+        gap = np.concatenate([np.full(shift.shape, -np.inf), run[..., :-1]], axis=-1) - z
+        carry = smoothing.sigmoid(gap)
+        u = _linear_scan(carry, smoothing.sigmoid(-gap) * order(y))
+        data = sign * (order(u) + shift)
+        def vjp(g):
+            _accum(a, back(_softmax_cum_grad(back(g), back(y), flip(u), flip(carry), tau)))
     else:
-        raise TypeError("cumulative reductions are only defined for hard and log-sum-exp modes")
+        raise TypeError(f"unsupported mode: {mode!r}")
     out = Var(data, (a,))
     out._vjp = vjp
     return out

@@ -327,6 +327,20 @@ class TestUntimedUntil:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
+    def test_softmax_gradient_memory_is_bounded(self):
+        # one window reduction per offset kept (8, 128, k) windows for every
+        # k, a 273 MB peak; the running scan keeps the (8, 128, 128) square
+        rng = np.random.default_rng(40)
+        channels = {name: Var(rng.normal(0, 1, (8, 128))) for name in ("x", "y")}
+        tracemalloc.start()
+        try:
+            out = trace_var(bench_formulas()["phi3"], channels, 128, SemanticsConfig(mode=SoftMax(10.0)))
+            backward(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_hard_memory_is_linear_in_length(self):
         # the square gather's peak grows with L**2: 1.45 GB already at L=2048
         rng = np.random.default_rng(38)

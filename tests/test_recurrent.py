@@ -87,6 +87,12 @@ class TestLongSignals:
         ("(x > -1) U (y > 0.5)", 240),
         ("(x > -1) U[2,9] (y > 0.5)", 260),
         ("F (x > 0) & G (y < 1.5)", 300),
+        # timed windows that fit no start (L <= b) or exactly one (L = b + 1)
+        ("(F[2,9] (x > 0) | G[3,9] (y < 0.5)) & (y > 0)", 4),
+        ("(F[2,9] (x > 0) | G[3,9] (y < 0.5)) & (y > 0)", 9),
+        ("(F[2,9] (x > 0) | G[3,9] (y < 0.5)) & (y > 0)", 10),
+        ("((x > -1) U[3,9] (y > 0.5)) | (x > 1)", 9),
+        ("((x > -1) U[3,9] (y > 0.5)) | (x > 1)", 10),
     ])
     def test_hard_values_and_lse_gradients_agree(self, text, length, padding):
         rng = np.random.default_rng(length)
@@ -94,19 +100,21 @@ class TestLongSignals:
         signals = NamedSignals.from_arrays({"x": rng.normal(0, 1, length),
                                             "y": rng.normal(0, 1, length)})
         hard = SemanticsConfig(padding=padding)
-        np.testing.assert_allclose(trace_recurrent(f, signals, hard),
-                                   robustness_trace(f, signals, hard), rtol=0, atol=1e-9)
+        masked = robustness_trace(f, signals, hard)
+        np.testing.assert_allclose(trace_recurrent(f, signals, hard), masked, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(trace_ref(f, signals, hard), masked, rtol=0, atol=1e-9)
         lse = SemanticsConfig(mode=LogSumExp(5.0), padding=padding)
         cotangent = rng.normal(0, 1, length)
         grads = []
         for build in (trace_var, trace_var_recurrent):
             channels = {name: Var(signals[name].values) for name in signals.names()}
             backward(build(f, channels, length, lse), cotangent)
-            grads.append(np.stack([channels[name].grad for name in ("x", "y")]))
+            grads.append(np.stack([np.zeros(length) if channels[name].grad is None
+                                   else channels[name].grad for name in ("x", "y")]))
         np.testing.assert_allclose(grads[1], grads[0], rtol=0, atol=1e-9)
         assert np.max(np.abs(grads[0])) > 0.1
 
-    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(10.0)])
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(10.0), SoftMax(10.0)])
     def test_untimed_until_graph_size_is_independent_of_length(self, mode):
         def nodes(length):
             rng = np.random.default_rng(length)
@@ -120,7 +128,7 @@ class TestLongSignals:
                     stack.extend(node._parents)
             return len(seen)
 
-        assert nodes(64) == nodes(256)
+        assert nodes(16) == nodes(64) == nodes(256)
 
 
 class TestSoftmaxPathology:

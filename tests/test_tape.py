@@ -38,6 +38,20 @@ CONST_OPS = {
     "div": lambda c, v: v / c, "rdiv": lambda c, v: c / v,
     "concat": lambda c, v: tape.concat_last([c, v, c]),
 }
+
+
+def _pair_op(pair, mode, const_first):
+    if const_first:
+        return lambda c, v: pair(c, v, mode)
+    return lambda c, v: pair(v, c, mode)
+
+
+CONST_OPS.update({
+    f"{pair.__name__}-{type(mode).__name__}-{side}": _pair_op(pair, mode, side == "left")
+    for pair in (tape.pair_smooth_max, tape.pair_smooth_min)
+    for mode in (Hard(), LogSumExp(3.0), SoftMax(3.0))
+    for side in ("left", "right")
+})
 CONSTANTS = {"array": np.array([[0.5], [-1.5]]), "scalar": 2.5}
 
 
@@ -60,14 +74,6 @@ class TestElementwise:
         backward(out)
         np.testing.assert_allclose(a.grad, [[10.0, 20.0], [10.0, 20.0]])
         np.testing.assert_allclose(b.grad, [4.0, 6.0])
-
-    def test_mask_fill_cuts_gradient(self):
-        v = Var(np.array([1.0, 2.0, 3.0]))
-        keep = np.array([True, False, True])
-        out = tape.vsum(tape.mask_fill(v, keep, -5.0))
-        assert float(out.data) == 1.0 - 5.0 + 3.0
-        backward(out)
-        np.testing.assert_allclose(v.grad, [1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("op,dx", [
         (operator.add, lambda a, x: np.ones_like(x)),
@@ -437,7 +443,8 @@ class TestPairPrimitiveDifferential:
 
 
 class TestSuffixReductions:
-    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(1.0), LogSumExp(15.0)])
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(1.0), LogSumExp(15.0), SoftMax(1.0),
+                                      SoftMax(15.0)])
     def test_matches_per_window_reduction(self, mode):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 2, 11)
@@ -470,9 +477,15 @@ class TestSuffixReductions:
         out = tape.cum_reduce(Var(x), Hard(), -1.0, reverse=True)
         np.testing.assert_allclose(out.data, [2.0, 4.0, 4.0])
 
-    def test_softmax_suffix_rejected(self):
+    def test_softmax_suffix_values(self):
+        x = np.array([1.0, 5.0, 5.0, 0.0])
+        out = tape.cum_reduce(Var(x), SoftMax(1.0), -1.0, reverse=True)
+        np.testing.assert_allclose(out.data, [ref_min(x[t:], SoftMax(1.0)) for t in range(4)],
+                                   rtol=0, atol=1e-15)
+
+    def test_unknown_mode_rejected(self):
         with pytest.raises(TypeError):
-            tape.cum_reduce(Var(np.ones(3)), SoftMax(1.0), 1.0, reverse=True)
+            tape.cum_reduce(Var(np.ones(3)), object(), 1.0, reverse=True)
 
 
 def old_suffix_hard_max(x, g):
@@ -567,7 +580,8 @@ class TestCumReduce:
         assert max(errors["scan"]) <= 1e-14
         assert max(errors["scan"]) <= max(errors["loop"])
 
-    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(0.5), LogSumExp(15.0)])
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(0.5), LogSumExp(15.0), SoftMax(0.5),
+                                      SoftMax(15.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_prefix_values_and_grads(self, sign, mode):
         rng = np.random.default_rng(23)
@@ -601,9 +615,56 @@ class TestCumReduce:
 
     def test_is_one_node(self):
         x = Var(np.array([1.0, 3.0, 2.0]))
-        for mode in (Hard(), LogSumExp(2.0)):
+        for mode in (Hard(), LogSumExp(2.0), SoftMax(2.0)):
             for reverse in (False, True):
                 assert tape.cum_reduce(x, mode, -1.0, reverse)._parents == (x,)
+
+
+def long_double_softmax_cum(y, tau, cotangent):
+    """Prefix softmax averages of ``y`` along the last axis in
+    ``np.longdouble``, one window at a time, and the gradient of
+    ``sum(cotangent * averages)``: ``d u_t / d y_j = w_tj (1 + tau (y_j -
+    u_t))`` with the window's softmax weights ``w_tj``."""
+    ld = np.longdouble
+    y, g, tau = y.astype(ld), cotangent.astype(ld), ld(tau)
+    out = np.empty(y.shape, dtype=ld)
+    grad = np.zeros(y.shape, dtype=ld)
+    for row in np.ndindex(y.shape[:-1]):
+        for t in range(y.shape[-1]):
+            win = y[row][:t + 1]
+            w = np.exp(tau * (win - np.max(win)))
+            w /= np.sum(w)
+            out[row + (t,)] = np.sum(w * win)
+            grad[row][:t + 1] += g[row + (t,)] * w * (1 + tau * (win - out[row + (t,)]))
+    return out.astype(np.float64), grad.astype(np.float64)
+
+
+class TestSoftmaxCumReduce:
+    """The softmax scan against a long-double loop over its windows."""
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("sigma", [2.0, 50.0])
+    @pytest.mark.parametrize("tau", [0.5, 10.0, 500.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["prefix", "suffix"])
+    @pytest.mark.parametrize("spread", ["wide", "clustered"])
+    def test_matches_long_double(self, spread, reverse, sign, tau, sigma, length):
+        rng = np.random.default_rng(length)
+        if spread == "wide":
+            x0 = rng.normal(0, sigma, (2, length))
+        else:
+            # every entry weighs in, far from zero
+            x0 = sigma + rng.normal(0, 3.0 / tau, (2, length))
+        g = rng.normal(0, 1, (2, length))
+        x = Var(x0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = tape.cum_reduce(x, SoftMax(tau), sign, reverse)
+            backward(out, g)
+        order = (lambda v: np.flip(v, axis=-1)) if reverse else (lambda v: v)
+        data, grad = long_double_softmax_cum(order(sign * x0), tau, order(g))
+        data, grad = sign * order(data), order(grad)
+        assert np.max(np.abs(out.data - data)) <= 1e-13 * np.max(np.abs(data))
+        assert np.max(np.abs(x.grad - grad)) <= 5e-11 * np.max(np.abs(grad))
 
 
 def dfs_backward(out):
@@ -630,12 +691,12 @@ def composite_smooth_max(a, mode, weights=None):
     if isinstance(mode, Hard):
         return tape.hard_max(a, weights)
     m = Var(tape.hard_max(a, weights).data)
-    z = (a - tape.unsqueeze_last(m)) * mode.temp
+    z = (a - m.data[..., None]) * mode.temp
     if weights is None:
         e = tape.exp(z)
     else:
         w = weights.data if isinstance(weights, Var) else np.asarray(weights, dtype=np.float64)
-        e = tape.mul(tape.as_var(weights), tape.exp(tape.mask_fill(z, w > 0, -np.inf)))
+        e = tape.mul(tape.as_var(weights), tape.exp(z + np.where(w > 0, 0.0, -np.inf)))
     if isinstance(mode, LogSumExp):
         return tape.log(tape.vsum(e, axis=-1)) * (1.0 / mode.temp) + m
     return tape.div(tape.vsum(tape.mul(a, e), axis=-1), tape.vsum(e, axis=-1))
