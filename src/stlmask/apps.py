@@ -81,6 +81,13 @@ def _ordered_bounds(alpha: Var, beta: Var) -> tuple[Var, Var]:
     return tape.pair_smooth_min(sa, sb, Hard()), tape.pair_smooth_max(sa, sb, Hard())
 
 
+def _final_interval(alpha: float, beta: float) -> tuple[float, float]:
+    """The ordered bounds that the descent parameters stand for, as floats."""
+    a = float(1.0 / (1.0 + math.exp(-alpha)))
+    b = float(1.0 / (1.0 + math.exp(-beta)))
+    return min(a, b), max(a, b)
+
+
 def _checked_bounds(alpha: Var, beta: Var, step: int) -> tuple[Var, Var]:
     """Ordered bounds of one descent step; raises once they leave 0 <= a < b <= 1.
 
@@ -235,9 +242,7 @@ def plan_trajectory(cfg: PlannerConfig = PlannerConfig(), seed: int = 0) -> dict
         alpha = alpha - cfg.lr * float(av.grad)
         beta = beta - cfg.lr * float(bv.grad)
 
-    a = float(1.0 / (1.0 + math.exp(-alpha)))
-    b = float(1.0 / (1.0 + math.exp(-beta)))
-    a, b = min(a, b), max(a, b)
+    a, b = _final_interval(alpha, beta)
     states = rollout_single_integrator(cfg.start, u, cfg.dt)
     length = cfg.horizon + 1
     signals = NamedSignals.from_arrays({"x": states[:, 0], "y": states[:, 1]}, dt=cfg.dt)
@@ -299,6 +304,13 @@ def synth_step_dataset(seed: int, n: int = 64, length: int = 20,
     return data
 
 
+def _mining_dataset(dataset) -> np.ndarray:
+    data = np.asarray(dataset, dtype=np.float64)
+    if data.ndim != 2 or data.size == 0:
+        raise ValueError("dataset must be a non-empty (n, length) array")
+    return data
+
+
 def _mining_loss_var(a, b, sharp, dataset: np.ndarray, gamma: float, cfg: SemanticsConfig,
                      eps: float = 0.0) -> Var:
     # robustness at the trace start of "always positive over the smooth
@@ -318,15 +330,13 @@ def mining_objective(a: float, b: float, dataset, gamma: float, sharp: float,
     ``sharp`` is the window mask sharpness (annealed during descent);
     ``cfg.mode`` supplies the reduction and its temperature.
     """
-    data = np.asarray(dataset, dtype=np.float64)
-    if data.ndim != 2 or data.size == 0:
-        raise ValueError("dataset must be a non-empty (n, length) array")
+    data = _mining_dataset(dataset)
     return float(_mining_loss_var(float(a), float(b), float(sharp), data, gamma, cfg).data)
 
 
 def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
     """Gradient descent on sigmoid-reparameterized window bounds."""
-    data = np.asarray(dataset, dtype=np.float64)
+    data = _mining_dataset(dataset)
     alpha = _logit(cfg.init_interval[0])
     beta = _logit(cfg.init_interval[1])
     temp_sched = _schedule(cfg.temp_anneal, cfg.steps)
@@ -346,9 +356,7 @@ def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
         alpha = alpha - cfg.lr * float(av.grad)
         beta = beta - cfg.lr * float(bv.grad)
 
-    a = float(1.0 / (1.0 + math.exp(-alpha)))
-    b = float(1.0 / (1.0 + math.exp(-beta)))
-    a, b = min(a, b), max(a, b)
+    a, b = _final_interval(alpha, beta)
     return {"interval": (a, b), "loss_history": history}
 
 

@@ -24,9 +24,13 @@ from .core import Hard, LogSumExp, SemanticsConfig, StepInterval
 from .formula import And, Eventually, Always, Formula, Pred, Until, temporal_depth
 from .tape import Var
 
-__all__ = ["BENCH_FORMULAS", "bench_formulas", "run_bench"]
+__all__ = ["bench_formulas", "run_bench"]
 
 _WINDOW = StepInterval(0, 5)
+#: untimed calls before each timed series
+_WARMUP = 3
+#: log-sum-exp temperature of the gradient timings
+_GRAD_TEMP = 10.0
 
 
 def _leaf(level: int, channel: str) -> Formula:
@@ -61,9 +65,6 @@ def bench_formulas() -> dict[str, Formula]:
     }
     assert [temporal_depth(f) for f in formulas.values()] == [0, 1, 1, 3, 2, 0]
     return formulas
-
-
-BENCH_FORMULAS = bench_formulas()
 
 
 def _channels(length: int, batch: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -101,15 +102,14 @@ def _engine_fn(engine: str, f: Formula, data: dict[str, np.ndarray], length: int
 
 
 def run_bench(sizes=(32, 64, 128, 256, 512), reps: int = 11, batch: int = 8,
-              include_grad: bool = False, seed: int = 0, warmup: int = 3,
-              grad_temp: float = 10.0, formulas: dict[str, Formula] | None = None) -> dict:
+              include_grad: bool = False, seed: int = 0) -> dict:
     """Measure both engines and report medians, IQRs, and relative times."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    formulas = dict(BENCH_FORMULAS) if formulas is None else formulas
+    formulas = bench_formulas()
     rng = np.random.default_rng(seed)
     value_cfg = SemanticsConfig(mode=Hard())
-    grad_cfg = SemanticsConfig(mode=LogSumExp(grad_temp))
+    grad_cfg = SemanticsConfig(mode=LogSumExp(_GRAD_TEMP))
 
     results = []
     for name, f in formulas.items():
@@ -121,7 +121,7 @@ def run_bench(sizes=(32, 64, 128, 256, 512), reps: int = 11, batch: int = 8,
                 for kind in kinds:
                     fn = _engine_fn(engine, f, data, int(length),
                                     grad_cfg if kind == "grad" else value_cfg, kind == "grad")
-                    for _ in range(warmup):
+                    for _ in range(_WARMUP):
                         fn()
                     times = [_time_once(fn) for _ in range(reps)]
                     q1, med, q3 = np.percentile(times, [25, 50, 75])
@@ -147,8 +147,8 @@ def run_bench(sizes=(32, 64, 128, 256, 512), reps: int = 11, batch: int = 8,
 
     return {
         "meta": {"sizes": [int(s) for s in sizes], "reps": reps, "batch": batch,
-                 "seed": seed, "warmup": warmup, "include_grad": include_grad,
-                 "value_mode": "hard", "grad_mode": f"lse(temp={grad_temp})"},
+                 "seed": seed, "warmup": _WARMUP, "include_grad": include_grad,
+                 "value_mode": "hard", "grad_mode": f"lse(temp={_GRAD_TEMP})"},
         "results": results,
         "relative": relative,
     }

@@ -209,7 +209,7 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
         x = channels[f.var]
         if f.cmp in (">", ">="):
             return x - f.threshold
-        return tape.neg(x) + f.threshold
+        return f.threshold - x
     if isinstance(f, Not):
         return tape.neg(rec(f.arg))
     if isinstance(f, And):

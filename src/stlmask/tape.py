@@ -1,38 +1,41 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A :class:`Var` wraps an array together with the closure that routes incoming
-cotangents to its parents.  Graphs are built eagerly by the engine code and
-differentiated with :func:`backward`.  Every node takes a creation sequence
-number, and a node's parents exist before it does, so descending sequence
-order is a topological order: ``backward`` collects the reachable nodes with
-one stack walk and calls their closures in that order (formula graphs can
-reach hundreds of thousands of nodes, so no recursion).  Window reductions
-run along the last axis; leading axes act as batch dimensions.
+A :class:`Var` wraps an array together with the callable that routes
+incoming cotangents to its parents.  Graphs are built eagerly by the engine
+code and differentiated with :func:`backward`.  Every node takes a creation
+sequence number, and a node's parents exist before it does, so descending
+sequence order is a topological order: ``backward`` collects the reachable
+nodes with one stack walk and calls their vjps in that order (formula graphs
+can reach hundreds of thousands of nodes, so no recursion).  Window
+reductions run along the last axis; leading axes act as batch dimensions.
 
-Each window max/min (``_hard_reduce``, ``_smooth_reduce``), each running
-max/min along the last axis (``cum_reduce``, a prefix or suffix scan) and
-each elementwise two-operand max/min (``_pair_reduce``) is a single tape
-node in all three modes, built by one implementation per shape that takes
-the direction as a sign.  The running softmax average is a convex
-recurrence weighted from the log-sum-exp running scan; it and both smooth
-scans' vjps are doubling scans of linear recurrences (``_linear_scan``), so
-no scan loops over the length in Python.  Untimed hard until is one
-``hard_until`` node: a Hillis-Steele doubling scan of the clamps
-``u -> min(H, max(M, u))``, which compose into clamps, so it takes log2(L)
-elementwise steps and O(L) memory.  Untimed log-sum-exp until is one
-``lse_until`` node: its window sums are taken in the exp domain relative to
-that hard until, tile by tile of start rows, and its vjp recomputes each
-tile instead of keeping the ``(L, L)`` windows.  Hard reductions route the
-full subgradient to the first extremal entry of the window in ascending
-index order, or to the first operand on a pairwise tie; ``hard_until``
-routes the same subgradient as the gathered until it stands for.  Gathers
-and hard scans scatter their gradient back with one flattened
-``np.bincount``.  Smooth window reductions factor out a detached maximum
-over the kept entries before exponentiation, so large temperatures cannot
-overflow, and route the analytic gradient to the input and the weights when
-each is a :class:`Var`.  An operand passed as an array or a number, to a
-reduction, a pairwise max/min, the elementwise arithmetic or
-``concat_last``, is a constant: it gets no leaf node and no gradient.
+Elementwise nodes, with one operand or two, keep their partial derivatives
+as factors in one slotted object (``_binary``), not a closure.  Each window
+max/min (``_window_reduce``), each running max/min along the last axis
+(``cum_reduce``, a prefix or suffix scan) and each elementwise two-operand
+max/min (``_pair_reduce``) is a single tape node in all three modes, built
+by one implementation per shape that takes the mode, and the direction as a
+sign.  The running
+softmax average is a convex recurrence weighted from the log-sum-exp
+running scan; it and both smooth scans' vjps are doubling scans of linear
+recurrences (``_linear_scan``), so no scan loops over the length in Python.
+Untimed hard until is one ``hard_until`` node: a Hillis-Steele doubling
+scan of the clamps ``u -> min(H, max(M, u))``, which compose into clamps,
+so it takes log2(L) elementwise steps and O(L) memory.  Untimed log-sum-exp
+until is one ``lse_until`` node: its window sums are taken in the exp
+domain relative to that hard until, tile by tile of start rows, and its vjp
+recomputes each tile instead of keeping the ``(L, L)`` windows.  Hard
+reductions route the full subgradient to the first extremal entry of the
+window in ascending index order, or to the first operand on a pairwise tie;
+``hard_until`` routes the same subgradient as the gathered until it stands
+for.  Gathers, hard window reductions and hard scans scatter their gradient
+back with one flattened ``np.bincount``.  Smooth window reductions factor
+out a detached maximum over the kept entries before exponentiation, so
+large temperatures cannot overflow, and route the analytic gradient to the
+input and the weights when each is a :class:`Var`.  An operand passed as an
+array or a number, to a reduction, a pairwise max/min, an elementwise
+primitive or ``concat_last``, is a constant: it gets no leaf node and no
+gradient.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ _creation = itertools.count()
 
 
 class Var:
-    """Node in the computation graph: an array plus a backward closure."""
+    """Node in the computation graph: an array plus the vjp to its parents."""
 
     __slots__ = ("data", "grad", "_parents", "_vjp", "_seq")
     # numpy defers to the reflected operators below instead of broadcasting
@@ -156,7 +159,7 @@ def backward(out: Var, seed=None):
             if p not in seen:
                 seen.add(p)
                 stack.append(p)
-    # children are created after their parents, so a node's closure runs
+    # children are created after their parents, so a node's vjp runs
     # only once every consumer has accumulated into its grad
     inner.sort(key=attrgetter("_seq"), reverse=True)
     out.grad = np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=np.float64)
@@ -197,8 +200,9 @@ class _BinaryVjp:
 
 
 def _binary(a, b, data, da=(), db=()) -> Var:
-    """Node for ``data = f(a, b)``, the partial derivatives as factor tuples;
-    only :class:`Var` operands become parents."""
+    """Node for ``data = f(a, b)``, the partial derivatives as factor tuples
+    (``b`` is ``None`` for a one-operand op); only :class:`Var` operands
+    become parents."""
     ta, tb = isinstance(a, Var), isinstance(b, Var)
     out = Var(data, (a, b) if ta and tb else (a,) if ta else (b,) if tb else ())
     if out._parents:
@@ -225,56 +229,38 @@ def div(a, b) -> Var:
 
 
 def neg(a) -> Var:
-    a = as_var(a)
-    out = Var(-a.data, (a,))
-    out._vjp = lambda g: _accum(a, -g)
-    return out
+    return _binary(a, None, -_array(a), (-1.0,))
 
 
 def exp(a) -> Var:
-    a = as_var(a)
-    data = np.exp(a.data)
-    out = Var(data, (a,))
-    out._vjp = lambda g: _accum(a, g * data)
-    return out
+    data = np.exp(_array(a))
+    return _binary(a, None, data, (data,))
 
 
 def log(a) -> Var:
-    a = as_var(a)
-    out = Var(np.log(a.data), (a,))
-    out._vjp = lambda g: _accum(a, g / a.data)
-    return out
+    x = _array(a)
+    return _binary(a, None, np.log(x), (1.0 / x,))
 
 
 def sigmoid(a) -> Var:
-    a = as_var(a)
-    out = Var(smoothing.sigmoid(a.data), (a,))
-    s = out.data
-    out._vjp = lambda g: _accum(a, g * s * (1.0 - s))
-    return out
+    s = smoothing.sigmoid(_array(a))
+    return _binary(a, None, s, (s, 1.0 - s))
 
 
 def relu(a) -> Var:
-    a = as_var(a)
-    mask = a.data > 0
-    out = Var(np.where(mask, a.data, 0.0), (a,))
-    out._vjp = lambda g: _accum(a, g * mask)
-    return out
+    x = _array(a)
+    mask = x > 0
+    return _binary(a, None, np.where(mask, x, 0.0), (mask,))
 
 
 def sqrt(a) -> Var:
-    a = as_var(a)
-    data = np.sqrt(a.data)
-    out = Var(data, (a,))
-    out._vjp = lambda g: _accum(a, g * 0.5 / data)
-    return out
+    data = np.sqrt(_array(a))
+    return _binary(a, None, data, (0.5 / data,))
 
 
 def square(a) -> Var:
-    a = as_var(a)
-    out = Var(a.data * a.data, (a,))
-    out._vjp = lambda g: _accum(a, g * 2.0 * a.data)
-    return out
+    x = _array(a)
+    return _binary(a, None, x * x, (2.0, x))
 
 
 # ---------------------------------------------------------------------------
@@ -357,43 +343,15 @@ def take_last(a, idx: np.ndarray) -> Var:
 # Reductions (always along the last axis)
 # ---------------------------------------------------------------------------
 
-def _hard_reduce(a, weights, sign: float) -> Var:
-    """``sign * reduce-max(sign * a)`` exactly, one node.
+def _window_reduce(a, mode: Mode, weights, sign: float) -> Var:
+    """``sign * reduce-max(sign * a)`` under ``mode`` over the entries kept
+    by ``weights > 0``, one node.  With ``x = sign * a``, ``m`` the max of
+    ``x`` over kept entries (detached, taken at its first argmax),
+    ``ez = exp(tau * (x - m))`` (0 where masked), ``e = w * ez`` and
+    ``s = sum(e)``:
 
-    ``weights`` only select which entries participate (``> 0`` keeps); they
-    receive no gradient.  The subgradient is one-hot at the first extremal
-    kept entry; a non-``Var`` operand is a constant and gets none.
-    """
-    x, w = _array(a), _array(weights)
-    fill, pick = (-np.inf, np.argmax) if sign > 0 else (np.inf, np.argmin)
-    masked = x if w is None else np.where(w > 0, x, fill)
-    sel = pick(masked, axis=-1)
-    data = np.take_along_axis(masked, sel[..., None], axis=-1)[..., 0]
-    if not np.all(np.isfinite(data)):
-        raise EmptyWindowError("hard reduction over a window with no kept entries")
-    if not isinstance(a, Var):
-        return Var(data)
-    out = Var(data, (a,))
-    def vjp(g):
-        acc = np.zeros_like(a.data)
-        np.put_along_axis(acc, sel[..., None], g[..., None], axis=-1)
-        _accum(a, acc)
-    out._vjp = vjp
-    return out
-
-
-def hard_max(a, weights=None) -> Var:
-    """Exact max over kept entries; one-hot subgradient at the first argmax."""
-    return _hard_reduce(a, weights, 1.0)
-
-
-def _smooth_reduce(a, mode: Mode, weights, sign: float) -> Var:
-    """``sign * reduce-max(sign * a)`` in log-sum-exp or softmax mode, one node.
-
-    With ``x = sign * a``, ``m`` the detached max of ``x`` over kept entries
-    (``w > 0``), ``ez = exp(tau * (x - m))`` (0 where masked), ``e = w * ez``
-    and ``s = sum(e)``:
-
+    * hard: ``m``; the subgradient is one-hot at the first extremal kept
+      entry, and the weights, which only select, get none;
     * log-sum-exp: ``log(s) / tau + m``; d/dx = ``e / s``,
       d/dw = ``ez / (tau * s)``;
     * softmax: ``sum(x * e) / s``; d/dx = ``e / s * (1 + tau * (x - out))``,
@@ -403,42 +361,52 @@ def _smooth_reduce(a, mode: Mode, weights, sign: float) -> Var:
     ``sign``.  Only operands that are :class:`Var` become parents and get a
     gradient; arrays are constants.
     """
-    if not isinstance(mode, (LogSumExp, SoftMax)):
+    if not isinstance(mode, (Hard, LogSumExp, SoftMax)):
         raise TypeError(f"unsupported mode: {mode!r}")
-    lse = isinstance(mode, LogSumExp)
-    tau = mode.temp
+    hard = isinstance(mode, Hard)
     x = _array(a) if sign > 0 else -_array(a)
     w = _array(weights)
     # entries outside the kept set may exceed the kept max; silence them
     # before exponentiation so 0 * exp(huge) cannot produce NaN
     x_kept = x if w is None else np.where(w > 0, x, -np.inf)
-    m = np.max(x_kept, axis=-1, keepdims=True)
+    sel = np.argmax(x_kept, axis=-1)
+    m = np.take_along_axis(x_kept, sel[..., None], axis=-1)
     if not np.all(np.isfinite(m)):
-        raise EmptyWindowError("smooth reduction over a window with no kept entries")
-    ez = np.exp((x_kept - m) * tau)
-    e = ez if w is None else w * ez
-    s = np.sum(e, axis=-1)
-    if not np.all(s > 0):
-        raise EmptyWindowError("smooth reduction over an all-zero-weight window")
-    inner = np.log(s) * (1.0 / tau) + m[..., 0] if lse else np.sum(x * e, axis=-1) / s
+        raise EmptyWindowError("reduction over a window with no kept entries")
     taped_a = a if isinstance(a, Var) else None
-    taped_w = weights if isinstance(weights, Var) else None
+    taped_w = weights if isinstance(weights, Var) and not hard else None
     parents = tuple(v for v in (taped_a, taped_w) if v is not None)
+    if hard:
+        inner = m[..., 0]
+        def vjp(g):
+            _accum(taped_a, _scatter_last(g, sel, taped_a.data.shape))
+    else:
+        lse = isinstance(mode, LogSumExp)
+        tau = mode.temp
+        ez = np.exp((x_kept - m) * tau)
+        e = ez if w is None else w * ez
+        s = np.sum(e, axis=-1)
+        if not np.all(s > 0):
+            raise EmptyWindowError("smooth reduction over an all-zero-weight window")
+        inner = np.log(s) * (1.0 / tau) + m[..., 0] if lse else np.sum(x * e, axis=-1) / s
+        def vjp(g):
+            g_s = (g / s)[..., None]
+            dev = None if lse else x - inner[..., None]
+            if taped_a is not None:
+                ga = g_s * e if lse else g_s * e * (1.0 + tau * dev)
+                _accum(taped_a, _unbroadcast(ga, taped_a.data.shape))
+            if taped_w is not None:
+                gw = (g_s * (sign / tau)) * ez if lse else (g_s * sign) * ez * dev
+                _accum(taped_w, _unbroadcast(gw, taped_w.data.shape))
     out = Var(sign * inner, parents)
-    if not parents:
-        return out
-
-    def vjp(g):
-        g_s = (g / s)[..., None]
-        dev = None if lse else x - inner[..., None]
-        if taped_a is not None:
-            ga = g_s * e if lse else g_s * e * (1.0 + tau * dev)
-            _accum(taped_a, _unbroadcast(ga, taped_a.data.shape))
-        if taped_w is not None:
-            gw = (g_s * (sign / tau)) * ez if lse else (g_s * sign) * ez * dev
-            _accum(taped_w, _unbroadcast(gw, taped_w.data.shape))
-    out._vjp = vjp
+    if parents:
+        out._vjp = vjp
     return out
+
+
+def hard_max(a, weights=None) -> Var:
+    """Exact max over kept entries; one-hot subgradient at the first argmax."""
+    return _window_reduce(a, Hard(), weights, 1.0)
 
 
 def smooth_max(a, mode: Mode, weights=None) -> Var:
@@ -448,14 +416,12 @@ def smooth_max(a, mode: Mode, weights=None) -> Var:
     gradient."""
     if isinstance(mode, Hard):
         return hard_max(a, weights)
-    return _smooth_reduce(a, mode, weights, 1.0)
+    return _window_reduce(a, mode, weights, 1.0)
 
 
 def smooth_min(a, mode: Mode, weights=None) -> Var:
     """Min-reduction along the last axis: ``-smooth_max(-a)``."""
-    if isinstance(mode, Hard):
-        return _hard_reduce(a, weights, -1.0)
-    return _smooth_reduce(a, mode, weights, -1.0)
+    return _window_reduce(a, mode, weights, -1.0)
 
 
 def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:

@@ -133,9 +133,15 @@ class TestMiningObjective:
         for got, expect in zip(*results):
             assert np.array_equal(got, expect)
 
-    def test_rejects_bad_dataset(self):
-        with pytest.raises(ValueError):
-            mining_objective(0.2, 0.8, np.zeros(5), 0.1, 10.0, SemanticsConfig())
+    @pytest.mark.parametrize("shape", [(5,), (0, 20), (3, 0), (2, 3, 4)],
+                             ids=["1d", "no_rows", "no_samples", "3d"])
+    @pytest.mark.parametrize("run", [
+        lambda d: mining_objective(0.2, 0.8, d, 0.1, 10.0, SemanticsConfig()),
+        lambda d: mine_interval(d, MiningConfig(steps=2)),
+    ], ids=["objective", "mine"])
+    def test_rejects_bad_dataset(self, run, shape):
+        with pytest.raises(ValueError, match="non-empty \\(n, length\\) array"):
+            run(np.zeros(shape))
 
 
 class TestSynthDataset:

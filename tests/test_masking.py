@@ -34,7 +34,7 @@ from stlmask.core import (
     StepInterval,
     ValidationError,
 )
-from stlmask.formula import TRUE, Always, Eventually, Not, parse
+from stlmask.formula import TRUE, Always, Eventually, Not, Pred, parse
 from stlmask.masking import (
     always_trace,
     eventually_trace,
@@ -363,6 +363,15 @@ class TestRobustnessTrace:
         sig = NamedSignals.from_arrays({"s": [0.0, 2.0]})
         np.testing.assert_array_equal(
             robustness_trace(parse("~(s > 1)"), sig, LAST), [1.0, -1.0])
+
+    @pytest.mark.parametrize("cmp", ["<", "<="])
+    def test_below_predicate_is_one_node(self, cmp):
+        x = Var(np.array([0.5, 2.0, -1.0]))
+        out = trace_var(Pred("x", cmp, 1.0), {"x": x}, 3, SemanticsConfig())
+        assert out._parents == (x,)
+        np.testing.assert_array_equal(out.data, [0.5, -1.0, 2.0])
+        backward(out, np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(x.grad, [-1.0, -2.0, -3.0])
 
     def test_conjunction_matches_oracle(self):
         sig = NamedSignals.from_arrays({"s": [1.0, 6.0, 2.0]})

@@ -53,6 +53,7 @@ CONST_OPS.update({
     for side in ("left", "right")
 })
 CONSTANTS = {"array": np.array([[0.5], [-1.5]]), "scalar": 2.5}
+ONE_OPERAND_OPS = [tape.neg, tape.exp, tape.log, tape.sigmoid, tape.relu, tape.sqrt, tape.square]
 
 
 class TestElementwise:
@@ -110,6 +111,18 @@ class TestElementwise:
         if op == "concat":
             assert np.array_equal(x.grad, seed[:, 1:4])
         assert tape.add(np.ones(2), 3.0)._parents == ()
+
+    @pytest.mark.parametrize("kind", sorted(CONSTANTS))
+    @pytest.mark.parametrize("op", ONE_OPERAND_OPS, ids=lambda op: op.__name__)
+    def test_one_operand_constant_has_no_parents(self, op, kind):
+        const = np.abs(CONSTANTS[kind]) + 0.25  # inside the domain of log and sqrt
+        out = op(const)
+        assert out._parents == () and out._vjp is None
+        x = Var(const)
+        taped = op(x)
+        assert np.array_equal(out.data, taped.data)
+        # the factor form: one slotted vjp object, no closure
+        assert taped._parents == (x,) and isinstance(taped._vjp, tape._BinaryVjp)
 
     def test_numpy_scalar_left_operand(self):
         x = Var(np.array([1.0, 2.0]))
@@ -365,6 +378,16 @@ def old_pair(a, b, g, mode, sign):
             g * (eb / den) * (1.0 - tau * (b - data)))
 
 
+def old_hard_max(a, weights, g):
+    """Hard ``smooth_max`` as its own body, in numpy: the first argmax over
+    kept entries, and the cotangent put there."""
+    masked = a if weights is None else np.where(weights > 0, a, -np.inf)
+    sel = np.argmax(masked, axis=-1)[..., None]
+    grad = np.zeros_like(a)
+    np.put_along_axis(grad, sel, g[..., None], axis=-1)
+    return np.take_along_axis(masked, sel, axis=-1)[..., 0], grad
+
+
 def old_hard_min(a, weights, g):
     """Hard ``smooth_min`` as ``neg(hard_max(neg(a), weights))``, in numpy."""
     masked = -a if weights is None else np.where(weights > 0, -a, -np.inf)
@@ -419,7 +442,9 @@ class TestPairPrimitiveDifferential:
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("ties", [False, True])
-    def test_hard_smooth_min_bit_identical(self, weighted, ties):
+    @pytest.mark.parametrize("reduce, old", [(tape.smooth_min, old_hard_min),
+                                             (tape.smooth_max, old_hard_max)], ids=["min", "max"])
+    def test_hard_window_reduce_bit_identical(self, reduce, old, weighted, ties):
         rng = np.random.default_rng(18)
         x0 = rng.integers(0, 3, (5, 8)).astype(float) if ties else rng.normal(0, 2, (5, 8))
         w = None
@@ -428,9 +453,9 @@ class TestPairPrimitiveDifferential:
             w[3] = 1.0
         g = rng.normal(0, 1, 5)
         x = Var(x0)
-        out = tape.smooth_min(x, Hard(), w)
+        out = reduce(x, Hard(), w)
         backward(out, g)
-        data, grad = old_hard_min(x0, w, g)
+        data, grad = old(x0, w, g)
         assert np.array_equal(out.data, data)
         assert np.array_equal(x.grad, grad)
 
