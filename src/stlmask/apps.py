@@ -64,8 +64,12 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _check_descent(init_interval, **schedules: Schedule):
+def _check_descent(steps: int, lr: float, init_interval, **schedules: Schedule):
     """Validate the settings both drivers share; raises ``ValueError``."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if len(init_interval) != 2 or not all(0.0 < p < 1.0 for p in init_interval):
         raise ValueError(f"init_interval must be two bounds strictly inside (0, 1), got {init_interval}")
     for name, spec in schedules.items():
@@ -147,7 +151,8 @@ class PlannerConfig:
         for name, size in (("target_box", 4), ("goal_box", 4), ("start", 2)):
             if len(getattr(self, name)) != size:
                 raise ValueError(f"{name} takes {size} values, got {getattr(self, name)}")
-        _check_descent(self.init_interval, temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
+        _check_descent(self.steps, self.lr, self.init_interval,
+                       temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
 
 
 def rollout_single_integrator(x0, controls, dt: float) -> np.ndarray:
@@ -277,11 +282,10 @@ class MiningConfig:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
         if not 0.0 <= self.eps < 0.5:
             raise ValueError(f"need 0 <= eps < 0.5, got {self.eps}")
-        _check_descent(self.init_interval, temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
+        _check_descent(self.steps, self.lr, self.init_interval,
+                       temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
 
 
 def synth_step_dataset(seed: int, n: int = 64, length: int = 20,
@@ -320,7 +324,7 @@ def _mining_loss_var(a, b, sharp, dataset: np.ndarray, gamma: float, cfg: Semant
     weights = masking.smooth_weights_var(a, b, sharp, eps, length)
     rho0 = tape.smooth_min(dataset, cfg.mode, weights=weights)
     loss = tape.vsum(tape.relu(tape.neg(rho0))) * (1.0 / n)
-    return loss + (tape.as_var(a) - tape.as_var(b)) * gamma
+    return loss + (a - b) * gamma
 
 
 def mining_objective(a: float, b: float, dataset, gamma: float, sharp: float,

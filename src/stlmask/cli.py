@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -113,23 +114,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_MINE_KEYS = {
-    "gamma": float, "lr": float, "steps": int, "init_interval": tuple, "eps": float,
-    "temp_anneal": "schedule", "sharp_anneal": "schedule",
-}
-_PLAN_KEYS = {
-    "gamma1": float, "gamma2": float, "gamma3": float, "gamma4": float,
-    "interval_nominal": float, "control_limit": float, "dt": float, "horizon": int,
-    "target_box": tuple, "goal_box": tuple, "start": tuple, "init_interval": tuple,
-    "control_init_scale": float, "lr": float, "steps": int,
-    "temp_anneal": "schedule", "sharp_anneal": "schedule",
-}
+def _config_kinds(cls) -> dict:
+    """Each field of the config dataclass ``cls`` with the kind that
+    ``fileio.apply_config`` parses it as, read from its type."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if hint == apps.Schedule:
+            kinds[name] = "schedule"
+        elif typing.get_origin(hint) is tuple:
+            kinds[name] = tuple
+        else:
+            kinds[name] = hint
+    return kinds
 
 
-def _config_from(path, keys, cls):
+def _config_from(path, cls):
     overrides = {}
     if path:
-        overrides = fileio.apply_config(fileio.load_config(path), keys, str(path))
+        overrides = fileio.apply_config(fileio.load_config(path), _config_kinds(cls), str(path))
     try:
         return cls(**overrides)
     except ValueError as exc:
@@ -139,7 +141,7 @@ def _config_from(path, keys, cls):
 def cmd_mine(args) -> int:
     if (args.data is None) == (args.generate is None):
         raise fileio.ConfigError("pass exactly one of --data or --generate")
-    cfg = _config_from(args.config, _MINE_KEYS, apps.MiningConfig)
+    cfg = _config_from(args.config, apps.MiningConfig)
     if args.generate is not None:
         _check_seed(args.generate, "--generate")
         dataset = apps.synth_step_dataset(args.generate)
@@ -177,7 +179,7 @@ def cmd_mine(args) -> int:
 
 def cmd_plan(args) -> int:
     _check_seed(args.seed, "--seed")
-    cfg = _config_from(args.config, _PLAN_KEYS, apps.PlannerConfig)
+    cfg = _config_from(args.config, apps.PlannerConfig)
     result = apps.plan_trajectory(cfg, seed=args.seed)
     if args.states_csv:
         states = result["states"]

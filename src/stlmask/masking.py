@@ -182,9 +182,9 @@ def smooth_weights_var(a, b, c, eps: float, length: int) -> Var:
     difference negated back (``sigmoid(-z) = 1 - sigmoid(z)``), so no weight
     is the difference of two values near 1 (see
     ``smoothing.smooth_time_mask``)."""
-    a, b = tape.as_var(a), tape.as_var(b)
+    a_data, b_data = (v.data if isinstance(v, Var) else v for v in (a, b))
     i = np.arange(length, dtype=np.float64)
-    flip = np.where(np.arange(length) > (a.data + b.data) * (0.5 * length), -1.0, 1.0)
+    flip = np.where(np.arange(length) > (a_data + b_data) * (0.5 * length), -1.0, 1.0)
     lo = tape.sigmoid((i - a * float(length)) * (c * flip))
     hi = tape.sigmoid((i - b * float(length)) * (c * flip))
     return tape.relu((lo - hi) * flip - eps)

@@ -1,8 +1,13 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A :class:`Var` wraps an array together with the callable that routes
-incoming cotangents to its parents.  Graphs are built eagerly by the engine
-code and differentiated with :func:`backward`.  Every node takes a creation
+A :class:`Var` wraps an array.  Leaves are built directly, and every other
+node by ``_node(data, vjp, *saved)``: its parents are the :class:`Var`
+entries of ``saved``, and :func:`backward` calls ``vjp(g, *saved)``, a
+module-level function, to route the node's cotangent ``g`` to them.  Any
+other operand, an array or a number, is a constant: it gets no leaf node
+and no gradient, and a node with no :class:`Var` operand is itself a
+constant, with no vjp.
+Graphs are built eagerly by the engine code.  Every node takes a creation
 sequence number, and a node's parents exist before it does, so descending
 sequence order is a topological order: ``backward`` collects the reachable
 nodes with one stack walk and calls their vjps in that order (formula graphs
@@ -10,12 +15,11 @@ can reach hundreds of thousands of nodes, so no recursion).  Window
 reductions run along the last axis; leading axes act as batch dimensions.
 
 Elementwise nodes, with one operand or two, keep their partial derivatives
-as factors in one slotted object (``_binary``), not a closure.  Each window
-max/min (``_window_reduce``), each running max/min along the last axis
-(``cum_reduce``, a prefix or suffix scan) and each elementwise two-operand
-max/min (``_pair_reduce``) is a single tape node in all three modes, built
-by one implementation per shape that takes the mode, and the direction as a
-sign.  The running
+as factors (``_factors_vjp``).  Each window max/min (``_window_reduce``),
+each running max/min along the last axis (``cum_reduce``, a prefix or
+suffix scan) and each elementwise two-operand max/min (``_pair_reduce``) is
+a single tape node in all three modes, built by one implementation per
+shape that takes the mode, and the direction as a sign.  The running
 softmax average is a convex recurrence weighted from the log-sum-exp
 running scan; it and both smooth scans' vjps are doubling scans of linear
 recurrences (``_linear_scan``), so no scan loops over the length in Python.
@@ -29,13 +33,10 @@ reductions route the full subgradient to the first extremal entry of the
 window in ascending index order, or to the first operand on a pairwise tie;
 ``hard_until`` routes the same subgradient as the gathered until it stands
 for.  Gathers, hard window reductions and hard scans scatter their gradient
-back with one flattened ``np.bincount``.  Smooth window reductions factor
-out a detached maximum over the kept entries before exponentiation, so
-large temperatures cannot overflow, and route the analytic gradient to the
-input and the weights when each is a :class:`Var`.  An operand passed as an
-array or a number, to a reduction, a pairwise max/min, an elementwise
-primitive or ``concat_last``, is a constant: it gets no leaf node and no
-gradient.
+back with one flattened ``np.bincount`` (``_gather_vjp``).  Smooth window
+reductions factor out a detached maximum over the kept entries before
+exponentiation, so large temperatures cannot overflow, and route the
+analytic gradient to the input and the weights.
 """
 
 from __future__ import annotations
@@ -81,16 +82,17 @@ _creation = itertools.count()
 class Var:
     """Node in the computation graph: an array plus the vjp to its parents."""
 
-    __slots__ = ("data", "grad", "_parents", "_vjp", "_seq")
+    __slots__ = ("data", "grad", "_parents", "_vjp", "_saved", "_seq")
     # numpy defers to the reflected operators below instead of broadcasting
     # an ndarray left operand into an object array of Vars
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), vjp=None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._vjp = vjp
+        self._parents = ()
+        self._vjp = None
+        self._saved = ()
         self._seq = next(_creation)
 
     @property
@@ -130,8 +132,24 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def _accum(node: Var, g: np.ndarray):
-    node.grad = g if node.grad is None else node.grad + g
+def _node(data, vjp, *saved) -> Var:
+    """Node for ``data``: ``vjp(g, *saved)`` routes its cotangent ``g`` to the
+    :class:`Var` entries of ``saved``, its parents.  With none, a constant."""
+    out = Var(data)
+    parents = tuple([v for v in saved if isinstance(v, Var)])
+    if parents:
+        out._parents = parents
+        out._vjp = vjp
+        out._saved = saved
+    return out
+
+
+def _accum(v, g: np.ndarray):
+    """Add ``g``, summed over the axes ``v`` was broadcast along, into
+    ``v.grad``; a constant operand takes nothing."""
+    if isinstance(v, Var):
+        g = _unbroadcast(g, v.data.shape)
+        v.grad = g if v.grad is None else v.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -165,7 +183,7 @@ def backward(out: Var, seed=None):
     out.grad = np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=np.float64)
     for node in inner:
         if node.grad is not None:
-            node._vjp(node.grad)
+            node._vjp(node.grad, *node._saved)
 
 
 # ---------------------------------------------------------------------------
@@ -180,145 +198,123 @@ def _array(x):
     return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-class _BinaryVjp:
-    """Sends the cotangent times each factor of ``da`` in turn to ``a``
-    (``None``: a constant), likewise to ``b``.  One object per node, not a
-    closure and its cells, keeps big graphs cheap for the garbage collector."""
-
-    __slots__ = ("a", "b", "da", "db")
-
-    def __init__(self, a, b, da, db):
-        self.a, self.b, self.da, self.db = a, b, da, db
-
-    def __call__(self, g):
-        for v, factors in ((self.a, self.da), (self.b, self.db)):
-            if v is not None:
-                gv = g
-                for f in factors:
-                    gv = gv * f
-                _accum(v, _unbroadcast(gv, v.data.shape))
-
-
-def _binary(a, b, data, da=(), db=()) -> Var:
-    """Node for ``data = f(a, b)``, the partial derivatives as factor tuples
-    (``b`` is ``None`` for a one-operand op); only :class:`Var` operands
-    become parents."""
-    ta, tb = isinstance(a, Var), isinstance(b, Var)
-    out = Var(data, (a, b) if ta and tb else (a,) if ta else (b,) if tb else ())
-    if out._parents:
-        out._vjp = _BinaryVjp(a if ta else None, b if tb else None, da, db)
-    return out
+def _factors_vjp(g, a, da, b=None, db=()):
+    """Sends the cotangent times each factor of ``da`` in turn to ``a``,
+    likewise ``db`` to ``b``."""
+    for v, factors in ((a, da), (b, db)):
+        if isinstance(v, Var):
+            gv = g
+            for f in factors:
+                gv = gv * f
+            _accum(v, gv)
 
 
 def add(a, b) -> Var:
-    return _binary(a, b, _array(a) + _array(b))
+    return _node(_array(a) + _array(b), _factors_vjp, a, (), b, ())
 
 
 def sub(a, b) -> Var:
-    return _binary(a, b, _array(a) - _array(b), (), (-1.0,))
+    return _node(_array(a) - _array(b), _factors_vjp, a, (), b, (-1.0,))
 
 
 def mul(a, b) -> Var:
     x, y = _array(a), _array(b)
-    return _binary(a, b, x * y, (y,), (x,))
+    return _node(x * y, _factors_vjp, a, (y,), b, (x,))
 
 
 def div(a, b) -> Var:
     x, y = _array(a), _array(b)
-    return _binary(a, b, x / y, (1.0 / y,), (-x / y / y,))
+    return _node(x / y, _factors_vjp, a, (1.0 / y,), b, (-x / y / y,))
 
 
 def neg(a) -> Var:
-    return _binary(a, None, -_array(a), (-1.0,))
+    return _node(-_array(a), _factors_vjp, a, (-1.0,))
 
 
 def exp(a) -> Var:
     data = np.exp(_array(a))
-    return _binary(a, None, data, (data,))
+    return _node(data, _factors_vjp, a, (data,))
 
 
 def log(a) -> Var:
     x = _array(a)
-    return _binary(a, None, np.log(x), (1.0 / x,))
+    return _node(np.log(x), _factors_vjp, a, (1.0 / x,))
 
 
 def sigmoid(a) -> Var:
     s = smoothing.sigmoid(_array(a))
-    return _binary(a, None, s, (s, 1.0 - s))
+    return _node(s, _factors_vjp, a, (s, 1.0 - s))
 
 
 def relu(a) -> Var:
     x = _array(a)
     mask = x > 0
-    return _binary(a, None, np.where(mask, x, 0.0), (mask,))
+    return _node(np.where(mask, x, 0.0), _factors_vjp, a, (mask,))
 
 
 def sqrt(a) -> Var:
     data = np.sqrt(_array(a))
-    return _binary(a, None, data, (0.5 / data,))
+    return _node(data, _factors_vjp, a, (0.5 / data,))
 
 
 def square(a) -> Var:
     x = _array(a)
-    return _binary(a, None, x * x, (2.0, x))
+    return _node(x * x, _factors_vjp, a, (2.0, x))
 
 
 # ---------------------------------------------------------------------------
 # Shape / gather primitives
 # ---------------------------------------------------------------------------
 
+def _sum_vjp(g, a, axis):
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    _accum(a, np.broadcast_to(g, a.data.shape).copy())
+
+
 def vsum(a, axis=None) -> Var:
-    a = as_var(a)
-    out = Var(np.sum(a.data, axis=axis), (a,))
-    def vjp(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
-    out._vjp = vjp
-    return out
+    return _node(np.sum(_array(a), axis=axis), _sum_vjp, a, axis)
+
+
+def _cumsum0_vjp(g, a):
+    _accum(a, np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0))
 
 
 def cumsum0(a) -> Var:
-    a = as_var(a)
-    out = Var(np.cumsum(a.data, axis=0), (a,))
-    out._vjp = lambda g: _accum(a, np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0))
-    return out
+    return _node(np.cumsum(_array(a), axis=0), _cumsum0_vjp, a)
+
+
+def _stack_vjp(g, *vs):
+    for i, v in enumerate(vs):
+        _accum(v, g[..., i])
 
 
 def stack_last(vs) -> Var:
-    vs = [as_var(v) for v in vs]
-    out = Var(np.stack([v.data for v in vs], axis=-1), tuple(vs))
-    def vjp(g):
-        for i, v in enumerate(vs):
-            _accum(v, g[..., i])
-    out._vjp = vjp
-    return out
+    return _node(np.stack([_array(v) for v in vs], axis=-1), _stack_vjp, *vs)
+
+
+def _concat_vjp(g, ends, *vs):
+    start = 0
+    for v, end in zip(vs, ends):
+        _accum(v, g[..., start:end])
+        start = end
 
 
 def concat_last(vs) -> Var:
-    """Join along the last axis; operands that are not :class:`Var` are
-    constants."""
+    """Join along the last axis."""
     datas = [_array(v) for v in vs]
     ends = np.cumsum([d.shape[-1] for d in datas])
-    out = Var(np.concatenate(datas, axis=-1), tuple(v for v in vs if isinstance(v, Var)))
-    def vjp(g):
-        for v, end, d in zip(vs, ends, datas):
-            if isinstance(v, Var):
-                _accum(v, g[..., end - d.shape[-1]:end])
-    out._vjp = vjp
-    return out
+    return _node(np.concatenate(datas, axis=-1), _concat_vjp, ends, *vs)
+
+
+def _index_vjp(g, a, i):
+    acc = np.zeros_like(a.data)
+    acc[..., i] = g
+    _accum(a, acc)
 
 
 def index_last(a, i: int) -> Var:
-    a = as_var(a)
-    out = Var(a.data[..., i], (a,))
-    def vjp(g):
-        acc = np.zeros_like(a.data)
-        acc[..., i] = g
-        _accum(a, acc)
-    out._vjp = vjp
-    return out
+    return _node(_array(a)[..., i], _index_vjp, a, i)
 
 
 def _scatter_last(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
@@ -330,13 +326,16 @@ def _scatter_last(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     return np.bincount(flat.ravel(), weights=g.ravel(), minlength=size).reshape(shape)
 
 
+def _gather_vjp(g, a, idx):
+    """Sends ``g`` back to the last-axis positions ``idx`` of ``a`` it was
+    gathered from."""
+    _accum(a, _scatter_last(g, idx, a.data.shape))
+
+
 def take_last(a, idx: np.ndarray) -> Var:
     """Gather along the last axis: ``out[..., *k] = a[..., idx[*k]]``."""
-    a = as_var(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Var(np.take(a.data, idx, axis=-1), (a,))
-    out._vjp = lambda g: _accum(a, _scatter_last(g, idx, a.data.shape))
-    return out
+    return _node(np.take(_array(a), idx, axis=-1), _gather_vjp, a, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +357,10 @@ def _window_reduce(a, mode: Mode, weights, sign: float) -> Var:
       d/dw = ``ez * (x - out) / s``.
 
     ``d/da = d/dx`` because ``sign * sign == 1``; the weight gradient carries
-    ``sign``.  Only operands that are :class:`Var` become parents and get a
-    gradient; arrays are constants.
+    ``sign``.
     """
     if not isinstance(mode, (Hard, LogSumExp, SoftMax)):
         raise TypeError(f"unsupported mode: {mode!r}")
-    hard = isinstance(mode, Hard)
     x = _array(a) if sign > 0 else -_array(a)
     w = _array(weights)
     # entries outside the kept set may exceed the kept max; silence them
@@ -373,35 +370,30 @@ def _window_reduce(a, mode: Mode, weights, sign: float) -> Var:
     m = np.take_along_axis(x_kept, sel[..., None], axis=-1)
     if not np.all(np.isfinite(m)):
         raise EmptyWindowError("reduction over a window with no kept entries")
-    taped_a = a if isinstance(a, Var) else None
-    taped_w = weights if isinstance(weights, Var) and not hard else None
-    parents = tuple(v for v in (taped_a, taped_w) if v is not None)
-    if hard:
-        inner = m[..., 0]
-        def vjp(g):
-            _accum(taped_a, _scatter_last(g, sel, taped_a.data.shape))
+    if isinstance(mode, Hard):
+        return _node(sign * m[..., 0], _gather_vjp, a, sel)
+    tau = mode.temp
+    ez = np.exp((x_kept - m) * tau)
+    e = ez if w is None else w * ez
+    s = np.sum(e, axis=-1)
+    if not np.all(s > 0):
+        raise EmptyWindowError("smooth reduction over an all-zero-weight window")
+    if isinstance(mode, LogSumExp):
+        inner = np.log(s) * (1.0 / tau) + m[..., 0]
     else:
-        lse = isinstance(mode, LogSumExp)
-        tau = mode.temp
-        ez = np.exp((x_kept - m) * tau)
-        e = ez if w is None else w * ez
-        s = np.sum(e, axis=-1)
-        if not np.all(s > 0):
-            raise EmptyWindowError("smooth reduction over an all-zero-weight window")
-        inner = np.log(s) * (1.0 / tau) + m[..., 0] if lse else np.sum(x * e, axis=-1) / s
-        def vjp(g):
-            g_s = (g / s)[..., None]
-            dev = None if lse else x - inner[..., None]
-            if taped_a is not None:
-                ga = g_s * e if lse else g_s * e * (1.0 + tau * dev)
-                _accum(taped_a, _unbroadcast(ga, taped_a.data.shape))
-            if taped_w is not None:
-                gw = (g_s * (sign / tau)) * ez if lse else (g_s * sign) * ez * dev
-                _accum(taped_w, _unbroadcast(gw, taped_w.data.shape))
-    out = Var(sign * inner, parents)
-    if parents:
-        out._vjp = vjp
-    return out
+        inner = np.sum(x * e, axis=-1) / s
+    return _node(sign * inner, _smooth_window_vjp, a, weights, mode, sign, x, inner, e, ez, s)
+
+
+def _smooth_window_vjp(g, a, weights, mode, sign, x, inner, e, ez, s):
+    lse = isinstance(mode, LogSumExp)
+    tau = mode.temp
+    g_s = (g / s)[..., None]
+    dev = None if lse else x - inner[..., None]
+    if isinstance(a, Var):
+        _accum(a, g_s * e if lse else g_s * e * (1.0 + tau * dev))
+    if isinstance(weights, Var):
+        _accum(weights, (g_s * (sign / tau)) * ez if lse else (g_s * sign) * ez * dev)
 
 
 def hard_max(a, weights=None) -> Var:
@@ -410,10 +402,7 @@ def hard_max(a, weights=None) -> Var:
 
 
 def smooth_max(a, mode: Mode, weights=None) -> Var:
-    """Max-reduction along the last axis under the configured semantics.
-
-    A non-``Var`` operand or weight array is a constant: no parent, no
-    gradient."""
+    """Max-reduction along the last axis under the configured semantics."""
     if isinstance(mode, Hard):
         return hard_max(a, weights)
     return _window_reduce(a, mode, weights, 1.0)
@@ -431,19 +420,18 @@ def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:
     is ``logaddexp(st * a, st * b) / st`` with d/da = ``exp(st * (a - out))``,
     and softmax averages the operands with weights ``exp(st * (x - m))``,
     ``m`` their max (sign +1) or min (sign -1), with
-    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.  A non-``Var``
-    operand is a constant.
+    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.
     """
     x, y = _array(a), _array(b)
     if isinstance(mode, Hard):
         first = x >= y if sign > 0 else x <= y
-        return _binary(a, b, np.where(first, x, y), (first,), (~first,))
+        return _node(np.where(first, x, y), _factors_vjp, a, (first,), b, (~first,))
     if isinstance(mode, LogSumExp):
         st = sign * mode.temp
         data = np.logaddexp(st * x, st * y) / st
         wa = np.exp(st * (x - data))
         wb = np.exp(st * (y - data))
-        return _binary(a, b, data, (wa,), (wb,))
+        return _node(data, _factors_vjp, a, (wa,), b, (wb,))
     if isinstance(mode, SoftMax):
         st = sign * mode.temp
         m = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
@@ -451,14 +439,9 @@ def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:
         eb = np.exp(st * (y - m))
         den = ea + eb
         data = (x * ea + y * eb) / den
-        return _binary(a, b, data, (ea / den, 1.0 + st * (x - data)),
-                       (eb / den, 1.0 + st * (y - data)))
+        return _node(data, _factors_vjp, a, (ea / den, 1.0 + st * (x - data)),
+                     b, (eb / den, 1.0 + st * (y - data)))
     raise TypeError(f"unsupported mode: {mode!r}")
-
-
-def _accum_pair(a: Var, b: Var, ga: np.ndarray, gb: np.ndarray):
-    _accum(a, _unbroadcast(ga, a.data.shape))
-    _accum(b, _unbroadcast(gb, b.data.shape))
 
 
 def pair_smooth_max(a, b, mode: Mode) -> Var:
@@ -511,32 +494,50 @@ def _linear_scan(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _lse_cum_grad(g, y, run, tau: float, reverse: bool) -> np.ndarray:
-    """d/dy of ``run``, the running log-sum-exp max of ``y``: window sums of
-    ``exp(tau * (y_j - run_t))`` accumulated from the far end with ratios
-    ``exp(tau * (run_j - run_{j - 1})) <= 1``, so neither they nor their
-    products overflow."""
+def _scan_order(v: np.ndarray, reverse: bool) -> np.ndarray:
+    """``v`` with its last axis in scan order, reversed for a suffix scan;
+    its own inverse."""
+    return np.flip(v, axis=-1) if reverse else v
+
+
+def _hard_cum_vjp(g, a, run, sign, reverse):
+    # the argmax scan runs only when a gradient is asked for
+    _gather_vjp(g, a, _first_extremum(sign * a.data, sign * run, reverse))
+
+
+def _lse_cum_vjp(g, a, run, tau, sign, reverse):
+    """With ``y = sign * a``, d/dy of ``sign * run``, the running log-sum-exp
+    max of ``y``: window sums of ``exp(tau * (y_j - run_t))`` accumulated
+    from the far end with ratios ``exp(tau * (run_j - run_{j - 1})) <= 1``,
+    so neither they nor their products overflow."""
+    y, run = sign * a.data, sign * run
     if not reverse:
         g, y, run = (np.flip(v, axis=-1) for v in (g, y, run))
     ratio = np.exp(tau * np.diff(run, axis=-1, prepend=run[..., :1]))
     grad = np.exp(tau * (y - run)) * _linear_scan(ratio, g)
-    return grad if reverse else np.flip(grad, axis=-1)
+    _accum(a, grad if reverse else np.flip(grad, axis=-1))
 
 
-def _softmax_cum_grad(g, y, u, carry, tau: float) -> np.ndarray:
-    """d/dy of ``u``, the softmax averages of ``y`` over the suffix windows
-    ``y[..., t:]``, where ``u_t = carry_t u_{t+1} + (1 - carry_t) y_t``.
+def _softmax_cum_vjp(g, a, y, u, carry, tau, reverse):
+    """d/da of ``u``, the softmax averages of ``y = sign * a - shift``; the
+    sign cancels.  ``y``, ``u`` and their carries come in scan order, and
+    are flipped to the order of the suffix windows ``y[..., t:]``, where
+    ``u_t = carry_t u_{t+1} + (1 - carry_t) y_t``.
 
     ``d u_t / d y_j = w_tj (1 + tau (y_j - u_t))`` with ``w_tj = carry_t ...
     carry_{j-1} (1 - carry_j)``, so the gradient is ``(1 - carry_j) ((1 + tau
     (y_j - u_j)) A_j - tau B_j)`` with ``A_j = g_j + carry_{j-1} A_{j-1}``
     (the log-sum-exp vjp's recurrence) and ``B_j = carry_{j-1} (B_{j-1} +
     (u_{j-1} - u_j) A_{j-1})``: two doubling scans."""
+    if not reverse:
+        g = np.flip(g, axis=-1)
+    y, u, carry = (np.flip(v, axis=-1) for v in (y, u, carry))
     ratio = np.concatenate([np.zeros(carry.shape[:-1] + (1,)), carry[..., :-1]], axis=-1)
     acc = _linear_scan(ratio, g)
     step = np.zeros(acc.shape)
     step[..., 1:] = ratio[..., 1:] * (u[..., :-1] - u[..., 1:]) * acc[..., :-1]
-    return (1.0 - carry) * ((1.0 + tau * (y - u)) * acc - tau * _linear_scan(ratio, step))
+    grad = (1.0 - carry) * ((1.0 + tau * (y - u)) * acc - tau * _linear_scan(ratio, step))
+    _accum(a, grad if reverse else np.flip(grad, axis=-1))
 
 
 def cum_reduce(a, mode: Mode, sign: float, reverse: bool = False) -> Var:
@@ -550,43 +551,29 @@ def cum_reduce(a, mode: Mode, sign: float, reverse: bool = False) -> Var:
     D_j``, the sigmoid of ``log D_{j-1} - tau y_j``, is the share of the
     normaliser ``D_j = sum_{i <= j} exp(tau y_i)`` that ``u_{j-1}`` holds.
     """
-    a = as_var(a)
-    flip = lambda v: np.flip(v, axis=-1)
-    order = flip if reverse else (lambda v: v)  # native to scan order and back
-    scan = lambda op, v: order(op.accumulate(order(v), axis=-1))
-
-    # the closures hold the output array, not the node: a node referenced
-    # from its own vjp would form a cycle that keeps its graph alive
+    x = _array(a)
     if isinstance(mode, Hard):
-        data = scan(np.maximum if sign > 0 else np.minimum, a.data)
-        def vjp(g):
-            # the argmax scan runs only when a gradient is asked for
-            sel = _first_extremum(sign * a.data, sign * data, reverse)
-            _accum(a, _scatter_last(g, sel, a.data.shape))
-    elif isinstance(mode, LogSumExp):
+        op = np.maximum if sign > 0 else np.minimum
+        run = _scan_order(op.accumulate(_scan_order(x, reverse), axis=-1), reverse)
+        return _node(run, _hard_cum_vjp, a, run, sign, reverse)
+    if isinstance(mode, LogSumExp):
         tau = mode.temp
-        data = sign * (scan(np.logaddexp, (sign * tau) * a.data) / tau)
-        def vjp(g):
-            _accum(a, _lse_cum_grad(g, sign * a.data, sign * data, tau, reverse))
-    elif isinstance(mode, SoftMax):
+        z = _scan_order((sign * tau) * x, reverse)
+        run = sign * (_scan_order(np.logaddexp.accumulate(z, axis=-1), reverse) / tau)
+        return _node(run, _lse_cum_vjp, a, run, tau, sign, reverse)
+    if isinstance(mode, SoftMax):
         tau = mode.temp
-        back = (lambda v: v) if reverse else flip  # native to suffix-window order
         # shifting by the detached row max keeps the scanned logs small
-        shift = np.max(sign * a.data, axis=-1, keepdims=True)
-        y = sign * a.data - shift
-        z = tau * order(y)
+        shift = np.max(sign * x, axis=-1, keepdims=True)
+        y = _scan_order(sign * x - shift, reverse)
+        z = tau * y
         run = np.logaddexp.accumulate(z, axis=-1)
         gap = np.concatenate([np.full(shift.shape, -np.inf), run[..., :-1]], axis=-1) - z
         carry = smoothing.sigmoid(gap)
-        u = _linear_scan(carry, smoothing.sigmoid(-gap) * order(y))
-        data = sign * (order(u) + shift)
-        def vjp(g):
-            _accum(a, back(_softmax_cum_grad(back(g), back(y), flip(u), flip(carry), tau)))
-    else:
-        raise TypeError(f"unsupported mode: {mode!r}")
-    out = Var(data, (a,))
-    out._vjp = vjp
-    return out
+        u = _linear_scan(carry, smoothing.sigmoid(-gap) * y)
+        data = sign * (_scan_order(u, reverse) + shift)
+        return _node(data, _softmax_cum_vjp, a, y, u, carry, tau, reverse)
+    raise TypeError(f"unsupported mode: {mode!r}")
 
 
 def _clamp_scan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -606,6 +593,18 @@ def _clamp_scan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lo
 
 
+def _hard_until_vjp(g, left, right, x, y, out):
+    length = x.shape[-1]
+    nxt = np.concatenate([out[..., 1:], np.full(out.shape[:-1] + (1,), -np.inf)], axis=-1)
+    take_l = x <= np.maximum(y, nxt)
+    src = _next_true(take_l | (y >= nxt))
+    # left sources land in [0, L), right sources in [L, 2L)
+    src = src + length * ~np.take_along_axis(take_l, src, axis=-1)
+    buf = _scatter_last(g, src, out.shape[:-1] + (2 * length,))
+    _accum(left, buf[..., :length])
+    _accum(right, buf[..., length:])
+
+
 def hard_until(left, right) -> Var:
     """Untimed hard until along the last axis, one node.
 
@@ -623,22 +622,9 @@ def hard_until(left, right) -> Var:
     for: a max tie goes to ``r_t``, a min tie to ``l_t``, and entry ``t``
     follows the chain to the first step ``j >= t`` that stops it.
     """
-    a, b = as_var(left), as_var(right)
-    x, y = np.broadcast_arrays(a.data, b.data)
-    length = x.shape[-1]
-    data = _clamp_scan(x, y)
-
-    def vjp(g):
-        nxt = np.concatenate([data[..., 1:], np.full(data.shape[:-1] + (1,), -np.inf)], axis=-1)
-        take_l = x <= np.maximum(y, nxt)
-        src = _next_true(take_l | (y >= nxt))
-        # left sources land in [0, L), right sources in [L, 2L)
-        src = src + length * ~np.take_along_axis(take_l, src, axis=-1)
-        buf = _scatter_last(g, src, data.shape[:-1] + (2 * length,))
-        _accum_pair(a, b, buf[..., :length], buf[..., length:])
-    out = Var(data, (a, b))
-    out._vjp = vjp
-    return out
+    x, y = np.broadcast_arrays(_array(left), _array(right))
+    out = _clamp_scan(x, y)
+    return _node(out, _hard_until_vjp, left, right, x, y, out)
 
 
 #: Start-row tiles of :func:`lse_until` (at most one per row).  Tile
@@ -665,6 +651,39 @@ def _until_tiles(length: int):
         yield t0, t1, np.where(keep, 0.0, np.inf)
 
 
+def _until_tile(x, y, centre, tau, t0, t1, off):
+    """``A``, ``F`` and ``q`` of :func:`lse_until` for the start rows
+    ``[t0, t1)`` and the window columns ``t0 .. L - 1``."""
+    c = centre[..., t0:t1, None]
+    big_a, big_f = c - x[..., None, t0:], c - y[..., None, t0:]
+    for e in (big_a, big_f):
+        e *= tau
+        np.minimum(e, _EXP_CAP, out=e)
+    big_a -= off
+    np.exp(big_a, out=big_a)
+    np.exp(big_f, out=big_f)
+    q = np.cumsum(big_a, axis=-1)
+    q += big_f
+    q += off
+    np.reciprocal(q, out=q)
+    return big_a, big_f, q
+
+
+def _lse_until_vjp(g, left, right, x, y, centre, tau, s):
+    g_s = np.broadcast_to(g / s, s.shape)
+    grad_l, grad_r = np.zeros(s.shape), np.zeros(s.shape)
+    for t0, t1, off in _until_tiles(x.shape[-1]):
+        big_a, big_f, q = _until_tile(x, y, centre, tau, t0, t1, off)
+        q *= q
+        q *= g_s[..., t0:t1, None]
+        big_f *= q
+        grad_r[..., t0:] += big_f.sum(axis=-2)
+        big_a *= np.flip(np.cumsum(np.flip(q, axis=-1), axis=-1), axis=-1)
+        grad_l[..., t0:] += big_a.sum(axis=-2)
+    _accum(left, grad_l)
+    _accum(right, grad_r)
+
+
 def lse_until(left, right, mode: LogSumExp) -> Var:
     """Untimed log-sum-exp until along the last axis, one node.
 
@@ -688,44 +707,10 @@ def lse_until(left, right, mode: LogSumExp) -> Var:
     """
     if not isinstance(mode, LogSumExp):
         raise TypeError(f"lse_until needs log-sum-exp mode, got {mode!r}")
-    a, b = as_var(left), as_var(right)
     tau = mode.temp
-    x, y = np.broadcast_arrays(a.data, b.data)
+    x, y = np.broadcast_arrays(_array(left), _array(right))
     centre = _clamp_scan(x, y)
-    length = x.shape[-1]
-
-    def tile(t0, t1, off):
-        c = centre[..., t0:t1, None]
-        big_a, big_f = c - x[..., None, t0:], c - y[..., None, t0:]
-        for e in (big_a, big_f):
-            e *= tau
-            np.minimum(e, _EXP_CAP, out=e)
-        big_a -= off
-        np.exp(big_a, out=big_a)
-        np.exp(big_f, out=big_f)
-        q = np.cumsum(big_a, axis=-1)
-        q += big_f
-        q += off
-        np.reciprocal(q, out=q)
-        return big_a, big_f, q
-
     s = np.empty(centre.shape)
-    for t0, t1, off in _until_tiles(length):
-        s[..., t0:t1] = tile(t0, t1, off)[2].sum(axis=-1)
-    data = centre + np.log(s) / tau
-
-    def vjp(g):
-        g_s = np.broadcast_to(g / s, s.shape)
-        grad_l, grad_r = np.zeros(s.shape), np.zeros(s.shape)
-        for t0, t1, off in _until_tiles(length):
-            big_a, big_f, q = tile(t0, t1, off)
-            q *= q
-            q *= g_s[..., t0:t1, None]
-            big_f *= q
-            grad_r[..., t0:] += big_f.sum(axis=-2)
-            big_a *= np.flip(np.cumsum(np.flip(q, axis=-1), axis=-1), axis=-1)
-            grad_l[..., t0:] += big_a.sum(axis=-2)
-        _accum_pair(a, b, grad_l, grad_r)
-    out = Var(data, (a, b))
-    out._vjp = vjp
-    return out
+    for t0, t1, off in _until_tiles(x.shape[-1]):
+        s[..., t0:t1] = _until_tile(x, y, centre, tau, t0, t1, off)[2].sum(axis=-1)
+    return _node(centre + np.log(s) / tau, _lse_until_vjp, left, right, x, y, centre, tau, s)

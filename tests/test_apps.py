@@ -201,6 +201,15 @@ def test_closed_interval_raises_diverged_with_step(run):
         run()
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("steps", 0), ("steps", -3), ("lr", 0.0), ("lr", -1.0), ("lr", math.inf), ("lr", math.nan),
+])
+@pytest.mark.parametrize("config", [PlannerConfig, MiningConfig], ids=["plan", "mine"])
+def test_rejects_bad_descent_setting(config, setting, value):
+    with pytest.raises(ValueError, match=setting):
+        config(**{setting: value})
+
+
 class TestGridEval:
     def test_valid_cells_only(self):
         calls = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlmask import masking
+from stlmask import apps, cli, masking
 from stlmask.cli import main
 from stlmask.core import NamedSignals
 from stlmask.fileio import (
     ConfigError,
+    apply_config,
     parse_config_text,
     parse_schedule,
     read_dataset_csv,
@@ -70,6 +72,20 @@ class TestFileIO:
             parse_config_text("oops")
         with pytest.raises(ConfigError):
             parse_config_text("a = 1\na = 2")
+
+    @pytest.mark.parametrize("config", [apps.PlannerConfig, apps.MiningConfig], ids=["plan", "mine"])
+    def test_every_config_field_round_trips(self, config):
+        def text(value):
+            if isinstance(value, tuple) and isinstance(value[0], str):  # a schedule
+                return ":".join(map(str, value))
+            if isinstance(value, tuple):
+                return ",".join(repr(v) for v in value)
+            return repr(value)
+        fields = dataclasses.fields(config)
+        raw = parse_config_text("\n".join(f"{f.name} = {text(f.default)}" for f in fields))
+        got = apply_config(raw, cli._config_kinds(config))
+        for f in fields:
+            assert got[f.name] == f.default and type(got[f.name]) is type(f.default), f.name
 
     def test_schedule_parsing(self):
         assert parse_schedule("sigmoid:1:30") == ("sigmoid", 1.0, 30.0)
@@ -210,6 +226,13 @@ class TestPlanCommand:
         # plain parseable numbers, no numpy scalar reprs
         assert all(len([float(c) for c in line.split(",")]) == 3 for line in lines[1:])
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_steps_rejected(self, tmp_path, capsys, steps):
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text(f"steps = {steps}\n")
+        assert run_cli("plan", "--config", str(cfgp)) == 2
+        assert "steps" in capsys.readouterr().err
+
     def test_missing_config_file(self):
         assert run_cli("plan", "--config", "no_such.cfg") == 2
 
@@ -234,6 +257,8 @@ class TestErrorReporting:
         ("mine", "init_interval = 0,0.5"),
         ("mine", "eps = 0.7"),
         ("mine", "sharp_anneal = constant:-1"),
+        ("plan", "lr = 0"),
+        ("mine", "lr = nan"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, text):
         cfgp = tmp_path / "c.cfg"
