@@ -17,7 +17,7 @@ Runs are deterministic given (seed, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,6 +64,16 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _check_finite(cfg):
+    """Raises ``ValueError`` at the first float of the config ``cfg``, alone
+    or in a tuple, that is not finite."""
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 def _check_descent(steps: int, lr: float, init_interval, **schedules: Schedule):
     """Validate the settings both drivers share; raises ``ValueError``."""
     if steps < 1:
@@ -79,17 +89,12 @@ def _check_descent(steps: int, lr: float, init_interval, **schedules: Schedule):
             raise ValueError(f"{name}: {exc}") from None
 
 
-def _ordered_bounds(alpha: Var, beta: Var) -> tuple[Var, Var]:
+def _ordered_bounds(alpha, beta):
+    """The ordered bounds ``(a, b)`` that the descent parameters stand for:
+    :class:`Var` nodes from :class:`Var` parameters, arrays from floats."""
     sa, sb = tape.sigmoid(alpha), tape.sigmoid(beta)
     # hard ties go to the first operand, so a == b routes both gradients to alpha
     return tape.pair_smooth_min(sa, sb, Hard()), tape.pair_smooth_max(sa, sb, Hard())
-
-
-def _final_interval(alpha: float, beta: float) -> tuple[float, float]:
-    """The ordered bounds that the descent parameters stand for, as floats."""
-    a = float(1.0 / (1.0 + math.exp(-alpha)))
-    b = float(1.0 / (1.0 + math.exp(-beta)))
-    return min(a, b), max(a, b)
 
 
 def _checked_bounds(alpha: Var, beta: Var, step: int) -> tuple[Var, Var]:
@@ -136,6 +141,7 @@ class PlannerConfig:
     sharp_anneal: Schedule = ("linear", 0.1, 35.0)
 
     def __post_init__(self):
+        _check_finite(self)
         if min(self.gamma1, self.gamma2, self.gamma3, self.gamma4) < 0:
             raise ValueError("objective weights must be nonnegative")
         if not self.control_limit > 0:
@@ -247,7 +253,7 @@ def plan_trajectory(cfg: PlannerConfig = PlannerConfig(), seed: int = 0) -> dict
         alpha = alpha - cfg.lr * float(av.grad)
         beta = beta - cfg.lr * float(bv.grad)
 
-    a, b = _final_interval(alpha, beta)
+    a, b = (float(v) for v in _ordered_bounds(alpha, beta))
     states = rollout_single_integrator(cfg.start, u, cfg.dt)
     length = cfg.horizon + 1
     signals = NamedSignals.from_arrays({"x": states[:, 0], "y": states[:, 1]}, dt=cfg.dt)
@@ -280,6 +286,7 @@ class MiningConfig:
     sharp_anneal: Schedule = ("sigmoid", 2.0, 50.0)
 
     def __post_init__(self):
+        _check_finite(self)
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if not 0.0 <= self.eps < 0.5:
@@ -335,7 +342,7 @@ def mining_objective(a: float, b: float, dataset, gamma: float, sharp: float,
     ``cfg.mode`` supplies the reduction and its temperature.
     """
     data = _mining_dataset(dataset)
-    return float(_mining_loss_var(float(a), float(b), float(sharp), data, gamma, cfg).data)
+    return float(_mining_loss_var(float(a), float(b), float(sharp), data, gamma, cfg))
 
 
 def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
@@ -360,7 +367,7 @@ def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
         alpha = alpha - cfg.lr * float(av.grad)
         beta = beta - cfg.lr * float(bv.grad)
 
-    a, b = _final_interval(alpha, beta)
+    a, b = (float(v) for v in _ordered_bounds(alpha, beta))
     return {"interval": (a, b), "loss_history": history}
 
 

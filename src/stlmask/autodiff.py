@@ -15,9 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import masking, tape
-from .core import NamedSignals, SemanticsConfig, SmoothInterval, ValidationError
+from .core import NamedSignals, SemanticsConfig, SmoothInterval
 from .formula import Always, Eventually, Formula
-from .formula import validate_against
 from .tape import Var
 
 __all__ = ["Gradients", "value_and_grad", "finite_diff_check"]
@@ -62,9 +61,7 @@ def value_and_grad(f: Formula, signals: NamedSignals,
     ``si`` optionally re-binds the parameters of the formula's smooth-interval
     nodes, which makes finite-difference probes over (a, b, c) cheap.
     """
-    missing = validate_against(f, signals)
-    if missing:
-        raise ValidationError(missing)
+    channels = masking._channel_vars(f, signals)
     sis = _smooth_intervals(f)
     if si is not None:
         if not sis:
@@ -78,7 +75,6 @@ def value_and_grad(f: Formula, signals: NamedSignals,
     else:
         target = None
 
-    channels = {name: Var(signals[name].values) for name in signals.names()}
     binding = None
     params = None
     if target is not None:

@@ -38,6 +38,12 @@ operator reduces a constant region to that constant.  Timed operators
 therefore gather only the ``L - b`` starts whose window fits, from the real
 samples, and append that constant for the rest.  Untimed windows clip at the
 end instead.
+
+Constants stay plain arrays, as the tape returns them: ``TRUE``, constant
+padding, padding-only tails and whatever is built from them alone, so
+``backward`` sends them nothing.  :func:`trace_var` wraps a constant trace
+as a leaf.  Smooth-interval weights, bound or not, come from
+:func:`smooth_weights_var`.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ from .formula import (
     Until,
     validate_against,
 )
-from .smoothing import smooth_mask_weights
 from .tape import Var
 
 __all__ = [
@@ -93,7 +98,7 @@ def _padding(x: Var, count: int, length: int, cfg: SemanticsConfig):
     of its last sample, or the padding constant as an array (no node)."""
     if cfg.padding.kind == "last" and count:
         return tape.take_last(x, np.full(count, length - 1, dtype=np.intp))
-    return np.full(x.data.shape[:-1] + (count,), cfg.padding.value)
+    return np.full(x.shape[:-1] + (count,), cfg.padding.value)
 
 
 def _pad_var(x: Var, count: int, length: int, cfg: SemanticsConfig) -> Var:
@@ -106,18 +111,19 @@ def _reduce(x, kind: str, cfg: SemanticsConfig, weights=None) -> Var:
     return tape.smooth_min(x, cfg.mode, weights)
 
 
-def pad_value(child: Var, length: int, cfg: SemanticsConfig) -> Var:
-    """The value assumed past the end of ``child``; shape ``child.shape[:-1]``."""
+def pad_value(child, length: int, cfg: SemanticsConfig):
+    """The value assumed past the end of ``child``; shape ``child.shape[:-1]``.
+    Constant padding is a plain array."""
     if cfg.padding.kind == "last":
         return tape.index_last(child, length - 1)
-    return Var(np.full(child.data.shape[:-1], cfg.padding.value))
+    return np.full(child.shape[:-1], cfg.padding.value)
 
 
-def _then_padding(fit: Var | None, tail) -> Var:
+def _then_padding(fit, tail):
     """``fit`` for the starts whose window ends inside the signal, then
     ``tail``: later windows read only padding, which reduces to itself."""
     if fit is None:
-        return tape.as_var(tail)
+        return tail
     return fit if tail.shape[-1] == 0 else tape.concat_last([fit, tail])
 
 
@@ -127,7 +133,9 @@ def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
         padded = _pad_var(child, length - 1, length, cfg)
         idx = np.arange(length)[:, None] + np.arange(length)[None, :]
         win = tape.take_last(padded, idx)
-        w = smooth_weights if smooth_weights is not None else smooth_mask_weights(iv, length)
+        w = smooth_weights
+        if w is None:
+            w = smooth_weights_var(iv.a, iv.b, iv.c, iv.eps, length)
         w_data = w.data if isinstance(w, Var) else w
         if not np.any(w_data > 0):
             raise EmptyWindowError("smooth interval produced an all-zero weight vector")
@@ -174,9 +182,10 @@ def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 # Formula evaluation
 # ---------------------------------------------------------------------------
 
-def smooth_weights_var(a, b, c, eps: float, length: int) -> Var:
-    """Differentiable window weights from (possibly taped) interval params:
-    ``relu(sigmoid(c*(i - a*L)) - sigmoid(c*(i - b*L)) - eps)``.
+def smooth_weights_var(a, b, c, eps: float, length: int):
+    """Window weights from interval params, floats or :class:`Var`:
+    ``relu(sigmoid(c*(i - a*L)) - sigmoid(c*(i - b*L)) - eps)``, a plain
+    array when no param is taped.
 
     Past the window's midpoint both sigmoid arguments are negated and the
     difference negated back (``sigmoid(-z) = 1 - sigmoid(z)``), so no weight
@@ -184,7 +193,8 @@ def smooth_weights_var(a, b, c, eps: float, length: int) -> Var:
     ``smoothing.smooth_time_mask``)."""
     a_data, b_data = (v.data if isinstance(v, Var) else v for v in (a, b))
     i = np.arange(length, dtype=np.float64)
-    flip = np.where(np.arange(length) > (a_data + b_data) * (0.5 * length), -1.0, 1.0)
+    # smooth_time_mask's midpoint: float bounds give its weights bit for bit
+    flip = np.where(np.arange(length) > 0.5 * (a_data * length + b_data * length), -1.0, 1.0)
     lo = tape.sigmoid((i - a * float(length)) * (c * flip))
     hi = tape.sigmoid((i - b * float(length)) * (c * flip))
     return tape.relu((lo - hi) * flip - eps)
@@ -203,8 +213,8 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
         return walk(g, channels, length, cfg, ev_always, until, smooth_binding)
 
     if isinstance(f, TrueFormula):
-        batch = next(iter(channels.values())).data.shape[:-1] if channels else ()
-        return Var(np.full(batch + (length,), cfg.top_value))
+        batch = next(iter(channels.values())).shape[:-1] if channels else ()
+        return np.full(batch + (length,), cfg.top_value)
     if isinstance(f, Pred):
         x = channels[f.var]
         if f.cmp in (">", ">="):
@@ -232,25 +242,27 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
 def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
               smooth_binding=None) -> Var:
     """Masked robustness trace as a tape variable; shape ``(..., length)``.
+    A trace that reads no channel is a leaf.
 
     ``channels`` may carry leading batch axes.  ``smooth_binding``, when
     given, is an ``(a, b, c)`` triple (floats or :class:`Var`) substituted for
     the parameters of every smooth-interval node in ``f``.
     """
-    return walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_binding)
+    return tape.as_var(walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_binding))
 
 
-def _channel_vars(signals: NamedSignals) -> dict[str, Var]:
+def _channel_vars(f: Formula, signals: NamedSignals) -> dict[str, Var]:
+    """One leaf per channel of ``signals``, once ``f`` is checked against them."""
+    missing = validate_against(f, signals)
+    if missing:
+        raise ValidationError(missing)
     return {name: Var(signals[name].values) for name in signals.names()}
 
 
 def robustness_trace(f: Formula, signals: NamedSignals,
                      cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Robustness of every suffix subsignal, computed by masked reductions."""
-    missing = validate_against(f, signals)
-    if missing:
-        raise ValidationError(missing)
-    out = trace_var(f, _channel_vars(signals), signals.length, cfg)
+    out = trace_var(f, _channel_vars(f, signals), signals.length, cfg)
     return np.array(out.data, copy=True)
 
 
@@ -275,16 +287,14 @@ def eventually_trace(inner, iv: StepInterval | SmoothInterval | None,
                      cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Windowed max over the inner trace, one entry per start timestep."""
     arr = _as_trace(inner, "inner")
-    out = _ev_always_var(Var(arr), arr.size, iv, cfg, "max")
-    return np.array(out.data, copy=True)
+    return np.array(_ev_always_var(arr, arr.size, iv, cfg, "max"), copy=True)
 
 
 def always_trace(inner, iv: StepInterval | SmoothInterval | None,
                  cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Windowed min over the inner trace, one entry per start timestep."""
     arr = _as_trace(inner, "inner")
-    out = _ev_always_var(Var(arr), arr.size, iv, cfg, "min")
-    return np.array(out.data, copy=True)
+    return np.array(_ev_always_var(arr, arr.size, iv, cfg, "min"), copy=True)
 
 
 def until_trace(left, right, iv: StepInterval | None,
@@ -294,5 +304,4 @@ def until_trace(left, right, iv: StepInterval | None,
     r_arr = _as_trace(right, "right")
     if l_arr.size != r_arr.size:
         raise ShapeError(f"trace lengths differ: {l_arr.size} vs {r_arr.size}")
-    out = _until_var(Var(l_arr), Var(r_arr), l_arr.size, iv, cfg)
-    return np.array(out.data, copy=True)
+    return np.array(_until_var(l_arr, r_arr, l_arr.size, iv, cfg), copy=True)

@@ -3,8 +3,10 @@
 Each temporal node walks the child trace from the last timestep to the first
 and keeps a hidden state: a single running value for untimed eventually and
 always, or a sliding buffer of the most recent child values for windowed
-operators.  Until keeps growing (untimed) or window-sized (timed) buffers of
-both child traces and rebuilds its prefix reduction incrementally.
+operators: one loop each, which appends one sample per step and emits the
+padding value while the window ``[t + a, t + b]`` overruns the end.  Until
+buffers both child traces and rebuilds its prefix reduction every step;
+untimed until is the same loop over ``[0, L - 1]``, clipped, not padded.
 
 In hard mode and log-sum-exp mode the results equal the reference semantics
 (log-sum-exp flattens nested applications into a single one).  In softmax
@@ -26,8 +28,8 @@ from collections import deque
 import numpy as np
 
 from . import masking, tape
-from .core import Hard, NamedSignals, SemanticsConfig, SmoothInterval, ValidationError, window_size
-from .formula import Formula, validate_against
+from .core import Hard, NamedSignals, SemanticsConfig, SmoothInterval, window_size
+from .formula import Formula
 from .tape import Var
 
 __all__ = ["trace_recurrent", "trace_var_recurrent"]
@@ -58,68 +60,44 @@ def _ev_always_rec(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
             running = pair(running, tape.index_last(child, t), cfg.mode)
             out[t] = running
         return tape.stack_last(out)
-    # entries whose window overruns the end take the padding value; for the
-    # rest the buffer holds real samples only
+    # entries whose window overruns the end take the padding value; the
+    # buffer holds the real samples at t+a .. t+b
     pad = masking.pad_value(child, length, cfg)
     state = deque(maxlen=window_size(iv))
     for t in range(length - 1, -1, -1):
-        if t + iv.b > length - 1:
-            out[t] = pad
-            continue
-        if len(state) == 0:
-            for k in range(iv.b, iv.a - 1, -1):
-                state.appendleft(tape.index_last(child, t + k))
-        else:
+        if t + iv.a < length:
             state.appendleft(tape.index_last(child, t + iv.a))
-        out[t] = _reduce(state, kind, cfg)
+        out[t] = pad if t + iv.b >= length else _reduce(state, kind, cfg)
     return tape.stack_last(out)
 
 
 def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
     out: list = [None] * length
-    # looked up once: the loops below call it for every timestep and offset
+    # looked up once: the loop below calls it for every timestep and offset
     pair_min, mode = tape.pair_smooth_min, cfg.mode
-    if iv is None:
-        phi = deque(maxlen=length)
-        psi = deque(maxlen=length)
-        for t in range(length - 1, -1, -1):
-            phi.appendleft(tape.index_last(left, t))
-            psi.appendleft(tape.index_last(right, t))
-            pm = None
-            terms = []
-            # iterate rather than index: deque access by position is O(i)
-            for i, (phi_i, psi_i) in enumerate(zip(phi, psi)):
-                pm = phi_i if i == 0 else pair_min(pm, phi_i, mode)
-                terms.append(pair_min(pm, psi_i, mode))
-            out[t] = _reduce(terms, "max", cfg) if len(terms) > 1 else terms[0]
-        return tape.stack_last(out)
-
-    count = window_size(iv)
-    pad = pair_min(masking.pad_value(left, length, cfg), masking.pad_value(right, length, cfg), Hard())
-    phi = deque(maxlen=iv.b + 1)   # times t .. t+b
-    psi = deque(maxlen=count)      # times t+a .. t+b
+    # untimed until is the window [0, L - 1] clipped at the end, with no
+    # padding; a timed window that overruns the end takes the padding value
+    a, b = (0, length - 1) if iv is None else (iv.a, iv.b)
+    pad = None
+    if iv is not None:
+        pad = pair_min(masking.pad_value(left, length, cfg),
+                       masking.pad_value(right, length, cfg), Hard())
+    phi = deque(maxlen=b + 1)      # left at t .. t+b
+    psi = deque(maxlen=b - a + 1)  # right at t+a .. t+b
     for t in range(length - 1, -1, -1):
-        if t + iv.b > length - 1:
+        phi.appendleft(tape.index_last(left, t))
+        if t + a < length:
+            psi.appendleft(tape.index_last(right, t + a))
+        if pad is not None and t + b >= length:
             out[t] = pad
             continue
-        if len(phi) == 0:
-            for k in range(iv.b, -1, -1):
-                phi.appendleft(tape.index_last(left, t + k))
-                if k >= iv.a:
-                    psi.appendleft(tape.index_last(right, t + k))
-        else:
-            phi.appendleft(tape.index_last(left, t))
-            psi.appendleft(tape.index_last(right, t + iv.a))
-        phi_vals = list(phi)
-        psi_vals = list(psi)
-        pm = phi_vals[0]
-        for tau in range(1, iv.a + 1):
-            pm = pair_min(pm, phi_vals[tau], mode)
         terms = []
-        for k in range(count):
-            if k > 0:
-                pm = pair_min(pm, phi_vals[iv.a + k], mode)
-            terms.append(pair_min(pm, psi_vals[k], mode))
+        psi_iter = iter(psi)
+        # iterate rather than index: deque access by position is O(i)
+        for i, phi_i in enumerate(phi):
+            pm = phi_i if i == 0 else pair_min(pm, phi_i, mode)
+            if i >= a:
+                terms.append(pair_min(pm, next(psi_iter), mode))
         out[t] = _reduce(terms, "max", cfg) if len(terms) > 1 else terms[0]
     return tape.stack_last(out)
 
@@ -127,15 +105,11 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 def trace_var_recurrent(f: Formula, channels: dict[str, Var], length: int,
                         cfg: SemanticsConfig) -> Var:
     """Recurrent robustness trace as a tape variable; shape ``(..., length)``."""
-    return masking.walk(f, channels, length, cfg, _ev_always_rec, _until_rec)
+    return tape.as_var(masking.walk(f, channels, length, cfg, _ev_always_rec, _until_rec))
 
 
 def trace_recurrent(f: Formula, signals: NamedSignals,
                     cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Robustness trace computed by the backward recurrences."""
-    missing = validate_against(f, signals)
-    if missing:
-        raise ValidationError(missing)
-    channels = {name: Var(signals[name].values) for name in signals.names()}
-    out = trace_var_recurrent(f, channels, signals.length, cfg)
+    out = trace_var_recurrent(f, masking._channel_vars(f, signals), signals.length, cfg)
     return np.array(out.data, copy=True)

@@ -133,8 +133,8 @@ class AnnealSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.total < 1:
             raise ValueError("total steps must be >= 1")
-        if not (self.start > 0 and self.end > 0):
-            raise ValueError("schedule values must stay positive")
+        if not (0 < self.start < np.inf and 0 < self.end < np.inf):
+            raise ValueError(f"schedule values must be positive and finite, got {self.start}, {self.end}")
 
     @classmethod
     def constant(cls, value: float) -> "AnnealSchedule":

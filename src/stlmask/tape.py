@@ -5,8 +5,11 @@ node by ``_node(data, vjp, *saved)``: its parents are the :class:`Var`
 entries of ``saved``, and :func:`backward` calls ``vjp(g, *saved)``, a
 module-level function, to route the node's cotangent ``g`` to them.  Any
 other operand, an array or a number, is a constant: it gets no leaf node
-and no gradient, and a node with no :class:`Var` operand is itself a
-constant, with no vjp.
+and no gradient.  A node whose operands are all constants is a constant
+too, so it is returned as a plain float64 array, not a :class:`Var`: a
+value that no leaf reaches is not traced, and constant in is constant out
+at every primitive.
+
 Graphs are built eagerly by the engine code.  Every node takes a creation
 sequence number, and a node's parents exist before it does, so descending
 sequence order is a topological order: ``backward`` collects the reachable
@@ -129,18 +132,21 @@ class Var:
 
 
 def as_var(x) -> Var:
+    """``x``, or a leaf holding it: for entry points that return a trace."""
     return x if isinstance(x, Var) else Var(x)
 
 
-def _node(data, vjp, *saved) -> Var:
+def _node(data, vjp, *saved):
     """Node for ``data``: ``vjp(g, *saved)`` routes its cotangent ``g`` to the
-    :class:`Var` entries of ``saved``, its parents.  With none, a constant."""
-    out = Var(data)
+    :class:`Var` entries of ``saved``, its parents.  With none, the bare
+    float64 array: a constant."""
     parents = tuple([v for v in saved if isinstance(v, Var)])
-    if parents:
-        out._parents = parents
-        out._vjp = vjp
-        out._saved = saved
+    if not parents:
+        return np.asarray(data, dtype=np.float64)
+    out = Var(data)
+    out._parents = parents
+    out._vjp = vjp
+    out._saved = saved
     return out
 
 

@@ -5,12 +5,16 @@ Run it on two checkouts and compare the printed lines::
 
     PYTHONPATH=src python tests/output_digest.py
 
-Three sets of results are hashed:
+Four sets of results are hashed:
 
 * masked: traces and channel gradients (with a random cotangent) of 300
   random formulas on random signals, in Hard, LogSumExp (tau = 0.5, 10, 500)
   and SoftMax (tau = 0.5, 2, 10) semantics, with random padding;
 * recurrent: the same for the recurrent engine on the first 60 cases;
+* smooth: ``F`` and ``G`` over smooth intervals whose bounds lie on a grid
+  of tenths, many of them with a sample at the window's exact midpoint:
+  unbound ``robustness_trace`` in every mode, and ``value_and_grad``
+  (signal and ``a``, ``b``, ``c`` gradients) in Hard, LogSumExp and SoftMax;
 * plan and mine: ``plan_trajectory`` and ``mine_interval`` results at 1000
   steps for seeds 0-2.
 
@@ -24,8 +28,10 @@ import hashlib
 import numpy as np
 
 from helpers import random_formula, random_signals
-from stlmask import apps, masking, recurrent, tape
-from stlmask.core import Hard, LogSumExp, PaddingPolicy, SemanticsConfig, SoftMax, StlError
+from stlmask import apps, autodiff, masking, recurrent, tape
+from stlmask.core import (Hard, LogSumExp, NamedSignals, PaddingPolicy, SemanticsConfig,
+                          SmoothInterval, SoftMax, StlError)
+from stlmask.formula import Always, And, Eventually, Pred
 from stlmask.tape import Var
 
 MODES = (Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
@@ -33,6 +39,10 @@ MODES = (Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
 CASES = 300
 RECURRENT_CASES = 60
 DESCENT_STEPS = 1000
+SMOOTH_LENGTHS = (6, 10, 20)
+#: (sharpness, eps) pairs of the smooth-interval grid
+SMOOTH_SHAPES = ((4.0, 0.0), (40.0, 0.05))
+GRAD_MODES = (Hard(), LogSumExp(10.0), SoftMax(2.0))
 SEEDS = (0, 1, 2)
 
 
@@ -84,10 +94,40 @@ def engine_digest(trace_var, selected) -> str:
     return digest.hex()
 
 
+def smooth_digest() -> str:
+    digest = Digest()
+    rng = np.random.default_rng(7)
+    inner = And(Pred("x", ">", 0.3), Pred("y", "<", 0.5))
+    tenths = [k / 10 for k in range(11)]
+    for length in SMOOTH_LENGTHS:
+        signals = NamedSignals.from_arrays({"x": rng.normal(0, 1, length),
+                                            "y": rng.normal(0, 1, length)})
+        for a in tenths:
+            for b in (b for b in tenths if b > a):
+                for c, eps in SMOOTH_SHAPES:
+                    si = SmoothInterval(a, b, c, eps)
+                    for op in (Eventually, Always):
+                        f = op(inner, si)
+                        for mode in MODES:
+                            try:
+                                digest.add(masking.robustness_trace(f, signals, SemanticsConfig(mode=mode)))
+                            except StlError as exc:
+                                digest.add(type(exc).__name__)
+                        for mode in GRAD_MODES:
+                            try:
+                                g = autodiff.value_and_grad(f, signals, SemanticsConfig(mode=mode))
+                            except StlError as exc:
+                                digest.add(type(exc).__name__)
+                                continue
+                            digest.add([g.value, g.d_a, g.d_b, g.d_c], g.d_signal["x"], g.d_signal["y"])
+    return digest.hex()
+
+
 def main():
     selected = cases()
     print("masked   ", engine_digest(masking.trace_var, selected))
     print("recurrent", engine_digest(recurrent.trace_var_recurrent, selected[:RECURRENT_CASES]))
+    print("smooth   ", smooth_digest())
     for seed in SEEDS:
         plan = apps.plan_trajectory(apps.PlannerConfig(steps=DESCENT_STEPS), seed=seed)
         digest = Digest()

@@ -210,6 +210,25 @@ def test_rejects_bad_descent_setting(config, setting, value):
         config(**{setting: value})
 
 
+@pytest.mark.parametrize("config, setting, value", [
+    (PlannerConfig, "gamma1", math.nan),
+    (PlannerConfig, "gamma2", math.inf),
+    (PlannerConfig, "gamma3", math.nan),
+    (PlannerConfig, "gamma4", -math.inf),
+    (PlannerConfig, "control_limit", math.inf),
+    (PlannerConfig, "target_box", (0.8, math.nan, 0.8, 1.2)),
+    (PlannerConfig, "goal_box", (1.8, 2.2, 1.8, math.inf)),
+    (PlannerConfig, "start", (math.inf, 0.0)),
+    (PlannerConfig, "control_init_scale", math.inf),
+    (PlannerConfig, "temp_anneal", ("linear", 1.0, math.inf)),
+    (MiningConfig, "gamma", math.nan),
+    (MiningConfig, "sharp_anneal", ("sigmoid", math.inf, 50.0)),
+])
+def test_rejects_non_finite_setting(config, setting, value):
+    with pytest.raises(ValueError, match=f"{setting}.*finite"):
+        config(**{setting: value})
+
+
 class TestGridEval:
     def test_valid_cells_only(self):
         calls = []

@@ -197,6 +197,14 @@ class TestMineCommand:
         assert rows[0] == "a,b,loss"
         assert len(rows) - 1 == 12 * 11 // 2
 
+    def test_subnormal_initial_bound_reports_its_interval(self, tmp_path, capsys):
+        # the final bounds come from the same stable sigmoid as each step
+        cfgp = tmp_path / "m.cfg"
+        cfgp.write_text("steps = 1\ninit_interval = 1e-310,0.5\n")
+        assert run_cli("mine", "--generate", "0", "--config", str(cfgp)) == 0
+        final = json.loads(capsys.readouterr().out)["final"]
+        assert 0.0 < final["a"] < final["b"] < 1.0
+
     def test_bad_config_key(self, tmp_path):
         cfgp = tmp_path / "m.cfg"
         cfgp.write_text("bogus_key = 1\n")
@@ -225,6 +233,13 @@ class TestPlanCommand:
         assert len(lines) == 14
         # plain parseable numbers, no numpy scalar reprs
         assert all(len([float(c) for c in line.split(",")]) == 3 for line in lines[1:])
+
+    def test_subnormal_initial_bound_reports_its_interval(self, tmp_path, capsys):
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("steps = 1\ninit_interval = 1e-310,0.5\n")
+        assert run_cli("plan", "--config", str(cfgp)) == 0
+        final = json.loads(capsys.readouterr().out)["final"]
+        assert 0.0 < final["a"] < final["b"] < 1.0
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_steps_rejected(self, tmp_path, capsys, steps):
@@ -259,6 +274,17 @@ class TestErrorReporting:
         ("mine", "sharp_anneal = constant:-1"),
         ("plan", "lr = 0"),
         ("mine", "lr = nan"),
+        # non-finite values, each rejected when the config is built
+        ("plan", "gamma1 = nan"),
+        ("plan", "gamma2 = inf"),
+        ("plan", "gamma3 = nan"),
+        ("plan", "gamma4 = inf"),
+        ("plan", "target_box = 0.8,nan,0.8,1.2"),
+        ("plan", "start = inf,0"),
+        ("plan", "control_init_scale = inf"),
+        ("plan", "temp_anneal = linear:1:inf"),
+        ("mine", "gamma = nan"),
+        ("mine", "sharp_anneal = sigmoid:inf:50"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, text):
         cfgp = tmp_path / "c.cfg"

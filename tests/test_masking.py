@@ -249,9 +249,11 @@ def gathered_untimed_until(left, right, length, iv, cfg):
 def trace_and_grads(f, arrays, length, cfg, until, cotangent):
     channels = {name: Var(arrays[name]) for name in CHANNELS}
     out = walk(f, channels, length, cfg, masking._ev_always_var, until)
-    backward(out, cotangent)
+    if isinstance(out, Var):  # a trace that reads no channel is a plain array
+        backward(out, cotangent)
+        out = out.data
     grads = [np.zeros(length) if channels[n].grad is None else channels[n].grad for n in CHANNELS]
-    return out.data, np.stack(grads)
+    return out, np.stack(grads)
 
 
 class TestUntimedUntil:

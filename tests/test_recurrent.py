@@ -131,6 +131,56 @@ class TestLongSignals:
         assert nodes(16) == nodes(64) == nodes(256)
 
 
+class TestConstantsAreNotTraced:
+    """TRUE, constant padding and padding-only tails stay plain arrays in
+    both tape engines, so backward reaches no leaf but the channels."""
+
+    TEXTS = (
+        "(x > 0) & TRUE",
+        "F[0,2] TRUE | (y < 0)",
+        "TRUE U (y < 0.5)",
+        "(x > 0) U[1,3] TRUE",
+        # padding-only tails at L = 4, where no window fits
+        "G[5,8] (x > 0) | (y > 0)",
+        "((x > -1) U[3,9] (y > 0.5)) | (x > 1)",
+    )
+
+    @staticmethod
+    def inner_leaves(out, channels) -> list:
+        """Nodes reached from ``out`` that are neither a channel nor have a vjp."""
+        keep = set(map(id, channels.values()))
+        found, seen, stack = [], set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if node._vjp is None and id(node) not in keep:
+                    found.append(node)
+                stack.extend(node._parents)
+        return found
+
+    @pytest.mark.parametrize("build", [trace_var, trace_var_recurrent], ids=["masked", "recurrent"])
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(5.0)])
+    def test_every_reached_node_is_a_channel_or_has_a_vjp(self, build, mode):
+        rng = np.random.default_rng(71)
+        cases = [(parse(text), length) for text in self.TEXTS for length in (4, 12)]
+        for _ in range(300):
+            f, signals = equivalence_case(rng, max_len=16)
+            if "TrueFormula" in repr(f):
+                cases.append((f, signals.length))
+        traced = 0
+        for f, length in cases:
+            for padding in (PaddingPolicy.constant(-0.5), PaddingPolicy.last_value()):
+                channels = {name: Var(rng.normal(0, 1, length)) for name in ("x", "y")}
+                out = build(f, channels, length, SemanticsConfig(mode=mode, padding=padding))
+                if out._vjp is None:
+                    continue  # a trace that reads no channel: one leaf, no graph
+                backward(out, rng.normal(0, 1, length))
+                assert self.inner_leaves(out, channels) == [], f
+                traced += 1
+        assert traced > 60
+
+
 class TestSoftmaxPathology:
     def test_documented_divergence_witness(self):
         # fixed seed 0: nested softmax softens early-applied (late-time)

@@ -156,7 +156,7 @@ class TestTimeMask:
         # weights below the float64 range are rounded to zero by either form
         shown = ref > 1e-300
         for w in (smooth_mask_weights(si, length),
-                  smooth_weights_var(si.a, si.b, si.c, si.eps, length).data):
+                  smooth_weights_var(si.a, si.b, si.c, si.eps, length)):
             rel = (np.abs(w - ref)[shown] / ref[shown]).astype(np.float64)
             # as sigma(x) - sigma(y) everywhere, far-window weights lost 5e-6
             # of their value or all of it
@@ -170,6 +170,25 @@ class TestTimeMask:
         slope = (w_plus - w_minus) / (2 * h)
         assert np.all(np.isfinite(slope))
         assert np.any(slope != 0)
+
+    def test_taped_weights_from_float_bounds_equal_the_mask_bit_for_bit(self):
+        from stlmask.masking import smooth_weights_var
+
+        # bounds on a grid of hundredths that put a sample exactly on the
+        # window's midpoint, where the two forms of the difference meet:
+        # both builders must take the same form there
+        checked = 0
+        for length in range(2, 41):
+            for ka in range(101):
+                for kb in range(ka + 1, 101):
+                    if (ka + kb) * length % 200:
+                        continue
+                    si = SmoothInterval(ka / 100, kb / 100, 8.0)
+                    w = smooth_weights_var(si.a, si.b, si.c, si.eps, length)
+                    assert type(w) is np.ndarray
+                    assert np.array_equal(w, smooth_time_mask(np.arange(length), si, length)), (si, length)
+                    checked += 1
+        assert checked > 4000
 
 
 class TestAnneal:
@@ -193,6 +212,15 @@ class TestAnneal:
             sch = AnnealSchedule(kind, 2.0, 50.0, 64)
             vals = [sch.value(k) for k in range(65)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -2.0])
+    def test_endpoints_must_be_positive_and_finite(self, bad):
+        for start, end in ((bad, 1.0), (1.0, bad)):
+            for kind in ("linear", "sigmoid"):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    AnnealSchedule(kind, start, end, 10)
+        with pytest.raises(ValueError, match="positive and finite"):
+            AnnealSchedule.constant(bad)
 
     def test_step_bounds(self):
         sch = AnnealSchedule.linear(1.0, 2.0, 10)

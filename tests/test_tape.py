@@ -128,28 +128,36 @@ class TestElementwise:
         x0 = rng.uniform(0.5, 2.0, (2, 3))
         x, ref, ref_const = Var(x0), Var(x0), Var(const)
         out, taped = build(const, x), build(ref_const, ref)
-        # no leaf for the constant and no neg node in front of the operand:
-        # the parents are the all-Var build's, less the constant's leaf
         assert ref_const in taped._parents
-        assert out._parents == tuple(x for p in taped._parents if p is ref)
-        assert np.array_equal(out.data, taped.data)
         seed = rng.normal(0, 1, out.shape)
-        backward(out, seed)
         backward(taped, seed)
-        assert x.grad is ref.grad is None or np.array_equal(x.grad, ref.grad)
+        if op in ONE_OPERAND_CONST_OPS:
+            # no Var operand at all: constant in, plain array out, and the
+            # all-Var build's gradient goes to the constant's leaf only
+            assert type(out) is np.ndarray and np.array_equal(out, taped.data)
+            assert ref.grad is None and ref_const.grad is not None
+        else:
+            # no leaf for the constant and no neg node in front of the
+            # operand: the parents are the all-Var build's, less the
+            # constant's leaf
+            assert out._parents == tuple(x for p in taped._parents if p is ref)
+            assert np.array_equal(out.data, taped.data)
+            backward(out, seed)
+            assert np.array_equal(x.grad, ref.grad)
         if op == "concat":
             assert np.array_equal(x.grad, seed[:, 1:4])
-        assert tape.add(np.ones(2), 3.0)._parents == ()
+        assert type(tape.add(np.ones(2), 3.0)) is np.ndarray
 
     @pytest.mark.parametrize("kind", ["array", "scalar"])
     @pytest.mark.parametrize("op", ONE_OPERAND_OPS, ids=lambda op: op.__name__)
     def test_one_operand_constant_has_no_parents(self, op, kind):
         const = np.abs(CONSTANTS[kind]) + 0.25  # inside the domain of log and sqrt
         out = op(const)
-        assert out._parents == () and out._vjp is None
+        # a constant in gives a plain array out: no node, so no parents
+        assert type(out) is np.ndarray and out.dtype == np.float64
         x = Var(const)
         taped = op(x)
-        assert np.array_equal(out.data, taped.data)
+        assert np.array_equal(out, taped.data)
         # the factor form: the shared factor vjp over the saved operand
         assert taped._parents == (x,) and taped._vjp is tape._factors_vjp
 
@@ -360,14 +368,17 @@ class TestFusedSmoothReduction:
         out = reduce(x0, mode, weights=w)
         taped_w = Var(w0)
         taped = reduce(Var(x0), mode, weights=taped_w)
-        assert np.array_equal(out.data, taped.data)
-        # hard weights only select entries, so nothing is left to differentiate
-        assert out._parents == (() if isinstance(mode, Hard) else (w,))
-        backward(out, seed)
         backward(taped, seed)
-        if not isinstance(mode, Hard):
+        if isinstance(mode, Hard):
+            # hard weights only select entries, so nothing is left to
+            # differentiate: the node is a constant, a plain array
+            assert type(out) is np.ndarray and np.array_equal(out, taped.data)
+        else:
+            assert np.array_equal(out.data, taped.data)
+            assert out._parents == (w,)
+            backward(out, seed)
             assert np.array_equal(w.grad, taped_w.grad)
-        assert reduce(x0, mode)._parents == ()
+        assert type(reduce(x0, mode)) is np.ndarray
 
     @pytest.mark.parametrize("reduce", REDUCERS, ids=["max", "min"])
     @pytest.mark.parametrize("mode", [LogSumExp(2.0), SoftMax(2.0)])
@@ -819,12 +830,12 @@ class TestBackward:
         assert fused[3] == pytest.approx(reference[3], rel=0, abs=1e-12)
 
 
-def every_node():
-    """Nodes built, from ``Var`` operands only, by every node-building name
+def every_node(leaf=Var):
+    """Nodes built, from ``leaf`` operands only, by every node-building name
     in ``tape.__all__``, plus the arithmetic operators."""
     rng = np.random.default_rng(21)
-    x, y = Var(rng.uniform(0.5, 2.0, (2, 4))), Var(rng.uniform(0.5, 2.0, (2, 4)))
-    w = Var(rng.uniform(0.1, 1.0, 4))
+    x, y = leaf(rng.uniform(0.5, 2.0, (2, 4))), leaf(rng.uniform(0.5, 2.0, (2, 4)))
+    w = leaf(rng.uniform(0.1, 1.0, 4))
     modes = (Hard(), LogSumExp(2.0), SoftMax(2.0))
     return {
         "exp": [tape.exp(x)], "log": [tape.log(x)], "sigmoid": [tape.sigmoid(x)],
@@ -864,6 +875,14 @@ class TestNodeConstructor:
                 assert vjp.__closure__ is None and "<locals>" not in vjp.__qualname__, name
                 assert getattr(tape, vjp.__name__) is vjp, name
                 backward(node, np.ones(node.shape))
+
+    def test_constant_operands_give_plain_arrays(self):
+        # a value that no leaf reaches is not traced: with only constant
+        # operands every node-building name returns the bare float64 array
+        for (name, nodes), taped in zip(every_node(np.array).items(), every_node().values()):
+            for node, ref in zip(nodes, taped):
+                assert type(node) is np.ndarray and node.dtype == np.float64, name
+                assert np.array_equal(node, ref.data), name
 
     def test_no_nested_function_or_lambda_in_module(self):
         tree = ast.parse(inspect.getsource(tape))
