@@ -97,18 +97,39 @@ def _ordered_bounds(alpha, beta):
     return tape.pair_smooth_min(sa, sb, Hard()), tape.pair_smooth_max(sa, sb, Hard())
 
 
-def _checked_bounds(alpha: Var, beta: Var, step: int) -> tuple[Var, Var]:
-    """Ordered bounds of one descent step; raises once they leave 0 <= a < b <= 1.
+def _descend(cfg, name: str, loss, *arrays):
+    """Fixed-step gradient descent on ``arrays`` and on the logits of the
+    interval bounds, started at ``cfg.init_interval``.
 
-    The sigmoid saturates in float64 and equal parameters give equal bounds,
-    so the window can close even though the reparameterization is meant to
-    keep it open.
+    ``loss(a, b, temp, sharp, *leaves)`` builds one step's objective from the
+    ordered bounds, the schedules' values at that step and one leaf per array.
+    Returns the final arrays, the final ordered bounds as floats and the
+    objective history.  Raises :class:`DivergedError` when the bounds leave
+    ``0 <= a < b <= 1`` or the objective, called ``name`` in the message, is
+    not finite.
     """
-    a, b = _ordered_bounds(alpha, beta)
-    lo, hi = float(a.data), float(b.data)
-    if not 0.0 <= lo < hi <= 1.0:
-        raise DivergedError(f"interval bounds left 0 <= a < b <= 1 at step {step}: a={lo!r}, b={hi!r}")
-    return a, b
+    params = [*arrays, *(_logit(p) for p in cfg.init_interval)]
+    temp_sched = _schedule(cfg.temp_anneal, cfg.steps)
+    sharp_sched = _schedule(cfg.sharp_anneal, cfg.steps)
+    history = []
+    for step in range(cfg.steps):
+        leaves = [Var(p) for p in params]
+        a, b = _ordered_bounds(leaves[-2], leaves[-1])
+        # the sigmoid saturates in float64 and equal parameters give equal
+        # bounds, so the window can close although the reparameterization
+        # is meant to keep it open
+        lo, hi = float(a.data), float(b.data)
+        if not 0.0 <= lo < hi <= 1.0:
+            raise DivergedError(f"interval bounds left 0 <= a < b <= 1 at step {step}: a={lo!r}, b={hi!r}")
+        total = loss(a, b, temp_sched.value(step), sharp_sched.value(step), *leaves[:-2])
+        value = float(total.data)
+        if not math.isfinite(value):
+            raise DivergedError(f"{name} became {value} at step {step}")
+        history.append(value)
+        tape.backward(total)
+        params = [p - cfg.lr * leaf.grad for p, leaf in zip(params, leaves)]
+    interval = tuple(float(v) for v in _ordered_bounds(params[-2], params[-1]))
+    return params[:-2], interval, history
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +182,17 @@ class PlannerConfig:
                        temp_anneal=self.temp_anneal, sharp_anneal=self.sharp_anneal)
 
 
+def _rollout(x0, controls, dt: float) -> list:
+    """Per-axis positions under ``x_{t+1} = x_t + dt * u_t``, each of
+    ``len(controls) + 1`` samples; taped when ``controls`` is a :class:`Var`."""
+    return [tape.concat_last([np.array([start]),
+                              tape.cumsum0(tape.index_last(controls, k)) * dt + start])
+            for k, start in enumerate(x0)]
+
+
 def rollout_single_integrator(x0, controls, dt: float) -> np.ndarray:
     """States under ``x_{t+1} = x_t + dt * u_t``; returns ``len(controls)+1`` rows."""
-    controls = np.asarray(controls, dtype=np.float64)
-    states = np.concatenate([np.asarray(x0, dtype=np.float64)[None, :],
-                             np.asarray(x0, dtype=np.float64) + dt * np.cumsum(controls, axis=0)])
-    return states
+    return np.stack(_rollout(x0, controls, dt), axis=-1)
 
 
 def box_formula(box, xname: str = "x", yname: str = "y") -> Formula:
@@ -180,12 +206,12 @@ def planning_formula(cfg: PlannerConfig, si: SmoothInterval) -> Formula:
     return And(Always(box_formula(cfg.target_box), si), Eventually(box_formula(cfg.goal_box)))
 
 
-def _planning_terms(u: Var, a: Var, b: Var, cfg: PlannerConfig, temp: float, sharp: float):
+def _planning_terms(u, a, b, cfg: PlannerConfig, temp: float, sharp: float):
+    """The planning objective: a :class:`Var` from taped operands, an array
+    from arrays and floats."""
     length = cfg.horizon + 1
-    ux, uy = tape.index_last(u, 0), tape.index_last(u, 1)
-    px = tape.concat_last([np.array([cfg.start[0]]), tape.cumsum0(ux) * cfg.dt + cfg.start[0]])
-    py = tape.concat_last([np.array([cfg.start[1]]), tape.cumsum0(uy) * cfg.dt + cfg.start[1]])
-    # placeholder interval; trace_var rebinds (a, b, c) to the taped values
+    px, py = _rollout(cfg.start, u, cfg.dt)
+    # placeholder interval; trace_var rebinds (a, b, c) to the given values
     si = SmoothInterval(0.25, 0.75, sharp)
     phi = planning_formula(cfg, si)
     sem = SemanticsConfig(mode=LogSumExp(temp))
@@ -198,8 +224,7 @@ def _planning_terms(u: Var, a: Var, b: Var, cfg: PlannerConfig, temp: float, sha
     j_int = tape.exp((a - b + cfg.interval_nominal) * 2.0)
     j_lim = tape.vsum(tape.relu(norms - cfg.control_limit)) * (1.0 / cfg.horizon)
     j_eff = tape.vsum(sumsq) * (1.0 / cfg.horizon)
-    total = j_stl * cfg.gamma1 + j_int * cfg.gamma2 + j_lim * cfg.gamma3 + j_eff * cfg.gamma4
-    return total
+    return j_stl * cfg.gamma1 + j_int * cfg.gamma2 + j_lim * cfg.gamma3 + j_eff * cfg.gamma4
 
 
 def planning_objective(controls, a_raw: float, b_raw: float, cfg: PlannerConfig,
@@ -208,14 +233,13 @@ def planning_objective(controls, a_raw: float, b_raw: float, cfg: PlannerConfig,
 
     ``temp``/``sharp`` default to the end values of the config's schedules.
     """
-    u = Var(np.asarray(controls, dtype=np.float64))
-    if u.data.shape != (cfg.horizon, 2):
-        raise ValueError(f"controls must have shape ({cfg.horizon}, 2), got {u.data.shape}")
+    u = np.asarray(controls, dtype=np.float64)
+    if u.shape != (cfg.horizon, 2):
+        raise ValueError(f"controls must have shape ({cfg.horizon}, 2), got {u.shape}")
     temp = cfg.temp_anneal[2] if temp is None else temp
     sharp = cfg.sharp_anneal[2] if sharp is None else sharp
-    a, b = _ordered_bounds(Var(float(a_raw)), Var(float(b_raw)))
-    total = _planning_terms(u, a, b, cfg, temp, sharp)
-    return float(total.data)
+    a, b = _ordered_bounds(float(a_raw), float(b_raw))
+    return float(_planning_terms(u, a, b, cfg, temp, sharp))
 
 
 def _hard_interval(a: float, b: float, length: int) -> StepInterval:
@@ -230,30 +254,10 @@ def plan_trajectory(cfg: PlannerConfig = PlannerConfig(), seed: int = 0) -> dict
     The reported ``final_robustness`` is the hard robustness of the optimized
     specification with the smooth window rounded to ``[ceil(aL), floor(bL)]``.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.normal(0.0, cfg.control_init_scale, (cfg.horizon, 2))
-    alpha = _logit(cfg.init_interval[0])
-    beta = _logit(cfg.init_interval[1])
-    temp_sched = _schedule(cfg.temp_anneal, cfg.steps)
-    sharp_sched = _schedule(cfg.sharp_anneal, cfg.steps)
-
-    history = []
-    for step in range(cfg.steps):
-        tau = temp_sched.value(step)
-        sharp = sharp_sched.value(step)
-        uv, av, bv = Var(u), Var(alpha), Var(beta)
-        a_var, b_var = _checked_bounds(av, bv, step)
-        total = _planning_terms(uv, a_var, b_var, cfg, tau, sharp)
-        value = float(total.data)
-        if not math.isfinite(value):
-            raise DivergedError(f"planning objective became {value} at step {step}")
-        history.append(value)
-        tape.backward(total)
-        u = u - cfg.lr * uv.grad
-        alpha = alpha - cfg.lr * float(av.grad)
-        beta = beta - cfg.lr * float(bv.grad)
-
-    a, b = (float(v) for v in _ordered_bounds(alpha, beta))
+    u0 = np.random.default_rng(seed).normal(0.0, cfg.control_init_scale, (cfg.horizon, 2))
+    (u,), (a, b), history = _descend(
+        cfg, "planning objective",
+        lambda a, b, temp, sharp, u: _planning_terms(u, a, b, cfg, temp, sharp), u0)
     states = rollout_single_integrator(cfg.start, u, cfg.dt)
     length = cfg.horizon + 1
     signals = NamedSignals.from_arrays({"x": states[:, 0], "y": states[:, 1]}, dt=cfg.dt)
@@ -348,27 +352,13 @@ def mining_objective(a: float, b: float, dataset, gamma: float, sharp: float,
 def mine_interval(dataset, cfg: MiningConfig = MiningConfig()) -> dict:
     """Gradient descent on sigmoid-reparameterized window bounds."""
     data = _mining_dataset(dataset)
-    alpha = _logit(cfg.init_interval[0])
-    beta = _logit(cfg.init_interval[1])
-    temp_sched = _schedule(cfg.temp_anneal, cfg.steps)
-    sharp_sched = _schedule(cfg.sharp_anneal, cfg.steps)
 
-    history = []
-    for step in range(cfg.steps):
-        sem = SemanticsConfig(mode=LogSumExp(temp_sched.value(step)))
-        av, bv = Var(alpha), Var(beta)
-        a_var, b_var = _checked_bounds(av, bv, step)
-        loss = _mining_loss_var(a_var, b_var, sharp_sched.value(step), data, cfg.gamma, sem, cfg.eps)
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise DivergedError(f"mining loss became {value} at step {step}")
-        history.append(value)
-        tape.backward(loss)
-        alpha = alpha - cfg.lr * float(av.grad)
-        beta = beta - cfg.lr * float(bv.grad)
+    def loss(a, b, temp, sharp):
+        sem = SemanticsConfig(mode=LogSumExp(temp))
+        return _mining_loss_var(a, b, sharp, data, cfg.gamma, sem, cfg.eps)
 
-    a, b = (float(v) for v in _ordered_bounds(alpha, beta))
-    return {"interval": (a, b), "loss_history": history}
+    _, interval, history = _descend(cfg, "mining loss", loss)
+    return {"interval": interval, "loss_history": history}
 
 
 def grid_eval(a_grid, b_grid, objective: Callable[[float, float], float]) -> np.ndarray:

@@ -61,7 +61,7 @@ def value_and_grad(f: Formula, signals: NamedSignals,
     ``si`` optionally re-binds the parameters of the formula's smooth-interval
     nodes, which makes finite-difference probes over (a, b, c) cheap.
     """
-    channels = masking._channel_vars(f, signals)
+    channels = {name: Var(v) for name, v in masking._checked_channels(f, signals).items()}
     sis = _smooth_intervals(f)
     if si is not None:
         if not sis:
@@ -75,13 +75,10 @@ def value_and_grad(f: Formula, signals: NamedSignals,
     else:
         target = None
 
-    binding = None
-    params = None
-    if target is not None:
-        params = (Var(target.a), Var(target.b), Var(target.c))
-        binding = params
-    out = masking.trace_var(f, channels, signals.length, cfg, smooth_binding=binding)
-    value = tape.index_last(out, 0)
+    params = None if target is None else (Var(target.a), Var(target.b), Var(target.c))
+    out = masking.trace_var(f, channels, signals.length, cfg, smooth_binding=params)
+    # a start that reaches no leaf is a plain array; backward needs a node
+    value = tape.as_var(tape.index_last(out, 0))
     tape.backward(value)
 
     d_signal = {

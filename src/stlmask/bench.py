@@ -88,17 +88,14 @@ def _time_once(fn) -> float:
 def _engine_fn(engine: str, f: Formula, data: dict[str, np.ndarray], length: int,
                cfg: SemanticsConfig, grad: bool):
     builder = masking.trace_var if engine == "masking" else recurrent.trace_var_recurrent
-    if not grad:
-        def run():
-            channels = {k: Var(v) for k, v in data.items()}
-            builder(f, channels, length, cfg)
-        return run
 
-    def run_grad():
-        channels = {k: Var(v) for k, v in data.items()}
+    def run():
+        # value timings pass the arrays, so they build no graph
+        channels = {k: Var(v) for k, v in data.items()} if grad else data
         out = builder(f, channels, length, cfg)
-        tape.backward(tape.vsum(tape.index_last(out, 0)))
-    return run_grad
+        if grad:
+            tape.backward(tape.vsum(tape.index_last(out, 0)))
+    return run
 
 
 def run_bench(sizes=(32, 64, 128, 256, 512), reps: int = 11, batch: int = 8,

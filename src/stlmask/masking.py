@@ -41,9 +41,9 @@ end instead.
 
 Constants stay plain arrays, as the tape returns them: ``TRUE``, constant
 padding, padding-only tails and whatever is built from them alone, so
-``backward`` sends them nothing.  :func:`trace_var` wraps a constant trace
-as a leaf.  Smooth-interval weights, bound or not, come from
-:func:`smooth_weights_var`.
+``backward`` sends them nothing.  The evaluation entry points pass the
+channels as arrays, so the same kernels build no graph at all.
+Smooth-interval weights, bound or not, come from :func:`smooth_weights_var`.
 """
 
 from __future__ import annotations
@@ -240,30 +240,30 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
 
 
 def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
-              smooth_binding=None) -> Var:
-    """Masked robustness trace as a tape variable; shape ``(..., length)``.
-    A trace that reads no channel is a leaf.
+              smooth_binding=None) -> Var | np.ndarray:
+    """Masked robustness trace on the tape; shape ``(..., length)``.  A trace
+    that reaches no :class:`Var` is a plain array.
 
     ``channels`` may carry leading batch axes.  ``smooth_binding``, when
     given, is an ``(a, b, c)`` triple (floats or :class:`Var`) substituted for
     the parameters of every smooth-interval node in ``f``.
     """
-    return tape.as_var(walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_binding))
+    return walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_binding)
 
 
-def _channel_vars(f: Formula, signals: NamedSignals) -> dict[str, Var]:
-    """One leaf per channel of ``signals``, once ``f`` is checked against them."""
+def _checked_channels(f: Formula, signals: NamedSignals) -> dict[str, np.ndarray]:
+    """The channel arrays of ``signals``, once ``f`` is checked against them."""
     missing = validate_against(f, signals)
     if missing:
         raise ValidationError(missing)
-    return {name: Var(signals[name].values) for name in signals.names()}
+    return {name: signals[name].values for name in signals.names()}
 
 
 def robustness_trace(f: Formula, signals: NamedSignals,
                      cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Robustness of every suffix subsignal, computed by masked reductions."""
-    out = trace_var(f, _channel_vars(f, signals), signals.length, cfg)
-    return np.array(out.data, copy=True)
+    out = walk(f, _checked_channels(f, signals), signals.length, cfg, _ev_always_var, _until_var)
+    return np.array(out, copy=True)
 
 
 def robustness(f: Formula, signals: NamedSignals,

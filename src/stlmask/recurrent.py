@@ -18,7 +18,8 @@ operand.
 
 Predicates and boolean connectives come from the shared formula walker,
 :func:`stlmask.masking.walk`; this module supplies only the ``F``/``G`` and
-``U`` kernels.
+``U`` kernels.  :func:`trace_recurrent` passes the channel arrays, so it
+builds no graph.
 """
 
 from __future__ import annotations
@@ -103,13 +104,15 @@ def _until_rec(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> 
 
 
 def trace_var_recurrent(f: Formula, channels: dict[str, Var], length: int,
-                        cfg: SemanticsConfig) -> Var:
-    """Recurrent robustness trace as a tape variable; shape ``(..., length)``."""
-    return tape.as_var(masking.walk(f, channels, length, cfg, _ev_always_rec, _until_rec))
+                        cfg: SemanticsConfig) -> Var | np.ndarray:
+    """Recurrent robustness trace on the tape; shape ``(..., length)``.  A
+    trace that reaches no :class:`Var` is a plain array."""
+    return masking.walk(f, channels, length, cfg, _ev_always_rec, _until_rec)
 
 
 def trace_recurrent(f: Formula, signals: NamedSignals,
                     cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Robustness trace computed by the backward recurrences."""
-    out = trace_var_recurrent(f, masking._channel_vars(f, signals), signals.length, cfg)
-    return np.array(out.data, copy=True)
+    channels = masking._checked_channels(f, signals)
+    out = masking.walk(f, channels, signals.length, cfg, _ev_always_rec, _until_rec)
+    return np.array(out, copy=True)

@@ -132,7 +132,8 @@ class Var:
 
 
 def as_var(x) -> Var:
-    """``x``, or a leaf holding it: for entry points that return a trace."""
+    """``x``, or a leaf holding it: a value that reaches no leaf is a plain
+    array, and :func:`backward` starts from a node."""
     return x if isinstance(x, Var) else Var(x)
 
 

@@ -1,8 +1,12 @@
-"""Shared corpus generation for the equivalence and gradient suites, and the
-materialized keep-masks that the masked engine's gathers are checked against."""
+"""Shared corpus generation for the equivalence and gradient suites, the
+materialized keep-masks that the masked engine's gathers are checked against,
+and a guard for code that must build no tape node."""
+
+import contextlib
 
 import numpy as np
 
+from stlmask import tape
 from stlmask.core import (
     NamedSignals,
     PaddingPolicy,
@@ -134,6 +138,16 @@ def equivalence_case(rng, depth=3, max_len=40):
     signals = random_signals(rng, max_len)
     f = random_formula(rng, int(rng.integers(1, depth + 1)))
     return f, signals
+
+
+@contextlib.contextmanager
+def builds_no_var():
+    """Fails the test when the block constructs a :class:`stlmask.tape.Var`:
+    every construction draws one number from the tape's creation counter."""
+    start = next(tape._creation)
+    yield
+    made = next(tape._creation) - start - 1
+    assert made == 0, f"{made} Var constructions"
 
 
 def sequential_until(left, right, cotangent):

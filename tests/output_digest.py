@@ -5,12 +5,16 @@ Run it on two checkouts and compare the printed lines::
 
     PYTHONPATH=src python tests/output_digest.py
 
-Four sets of results are hashed:
+Five sets of results are hashed:
 
 * masked: traces and channel gradients (with a random cotangent) of 300
   random formulas on random signals, in Hard, LogSumExp (tau = 0.5, 10, 500)
   and SoftMax (tau = 0.5, 2, 10) semantics, with random padding;
 * recurrent: the same for the recurrent engine on the first 60 cases;
+* values: the entry points that build no graph: ``robustness_trace`` on the
+  300 cases and ``trace_recurrent`` on the first 60, in the same modes, and
+  ``planning_objective`` and ``mining_objective`` on a small grid of
+  controls, bounds and sharpness values;
 * smooth: ``F`` and ``G`` over smooth intervals whose bounds lie on a grid
   of tenths, many of them with a sample at the window's exact midpoint:
   unbound ``robustness_trace`` in every mode, and ``value_and_grad``
@@ -32,6 +36,7 @@ from stlmask import apps, autodiff, masking, recurrent, tape
 from stlmask.core import (Hard, LogSumExp, NamedSignals, PaddingPolicy, SemanticsConfig,
                           SmoothInterval, SoftMax, StlError)
 from stlmask.formula import Always, And, Eventually, Pred
+from stlmask.recurrent import trace_recurrent
 from stlmask.tape import Var
 
 MODES = (Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
@@ -82,7 +87,9 @@ def engine_digest(trace_var, selected) -> str:
         for mode in MODES:
             channels = {name: Var(signals[name].values) for name in signals.names()}
             try:
-                out = trace_var(f, channels, signals.length, SemanticsConfig(mode=mode, padding=pad))
+                # a trace that reads no channel is an array; backward needs a node
+                out = tape.as_var(trace_var(f, channels, signals.length,
+                                            SemanticsConfig(mode=mode, padding=pad)))
                 tape.backward(out, cotangent)
             except StlError as exc:
                 digest.add(type(exc).__name__)
@@ -91,6 +98,39 @@ def engine_digest(trace_var, selected) -> str:
             for name in sorted(channels):
                 grad = channels[name].grad
                 digest.add("none" if grad is None else grad)
+    return digest.hex()
+
+
+def values_digest(selected) -> str:
+    digest = Digest()
+    for evaluate, chosen in ((masking.robustness_trace, selected),
+                             (trace_recurrent, selected[:RECURRENT_CASES])):
+        for f, signals, pad, _ in chosen:
+            for mode in MODES:
+                try:
+                    digest.add(evaluate(f, signals, SemanticsConfig(mode=mode, padding=pad)))
+                except StlError as exc:
+                    digest.add(type(exc).__name__)
+    rng = np.random.default_rng(11)
+    cfg = apps.PlannerConfig()
+    for scale in (0.5, 2.0):
+        # at scale 2 some controls exceed the control limit
+        u = rng.normal(0, scale, (cfg.horizon, 2))
+        for a_raw, b_raw in ((-1.5, 1.0), (0.3, -0.2), (-0.5, 2.0)):
+            for temp, sharp in ((3.0, 0.1), (100.0, 35.0)):
+                digest.add([apps.planning_objective(u, a_raw, b_raw, cfg, temp, sharp)])
+    tenths = [k / 10 for k in range(11)]
+    for seed in (0, 1):
+        data = apps.synth_step_dataset(seed, n=8)
+        for a in tenths:
+            for b in (b for b in tenths if b > a):
+                for sharp in (5.0, 50.0):
+                    for mode in GRAD_MODES:
+                        try:
+                            digest.add([apps.mining_objective(a, b, data, 0.15, sharp,
+                                                              SemanticsConfig(mode=mode))])
+                        except StlError as exc:
+                            digest.add(type(exc).__name__)
     return digest.hex()
 
 
@@ -128,6 +168,7 @@ def main():
     print("masked   ", engine_digest(masking.trace_var, selected))
     print("recurrent", engine_digest(recurrent.trace_var_recurrent, selected[:RECURRENT_CASES]))
     print("smooth   ", smooth_digest())
+    print("values   ", values_digest(selected))
     for seed in SEEDS:
         plan = apps.plan_trajectory(apps.PlannerConfig(steps=DESCENT_STEPS), seed=seed)
         digest = Digest()

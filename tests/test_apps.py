@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import builds_no_var
+from stlmask import apps
 from stlmask.apps import (
     MiningConfig,
     _mining_loss_var,
@@ -16,7 +18,16 @@ from stlmask.apps import (
     rollout_single_integrator,
     synth_step_dataset,
 )
-from stlmask.core import DivergedError, LogSumExp, NamedSignals, SemanticsConfig, SmoothInterval
+from stlmask.autodiff import finite_diff_check
+from stlmask.core import (
+    DivergedError,
+    Hard,
+    LogSumExp,
+    NamedSignals,
+    SemanticsConfig,
+    SmoothInterval,
+    SoftMax,
+)
 from stlmask.masking import robustness
 from stlmask.formula import Always, Pred
 from stlmask.tape import Var, backward
@@ -57,6 +68,38 @@ class TestPlanningObjective:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             planning_objective(np.zeros((3, 2)), 0.0, 1.0, PlannerConfig())
+
+    def test_builds_no_var_and_equals_the_taped_build(self):
+        cfg = PlannerConfig(horizon=12)
+        rng = np.random.default_rng(91)
+        for scale in (0.3, 2.0):
+            u = rng.normal(0.0, scale, (cfg.horizon, 2))
+            for a_raw, b_raw in ((-1.5, 1.0), (0.3, -0.2)):
+                for temp, sharp in ((3.0, 0.1), (100.0, 35.0)):
+                    with builds_no_var():
+                        got = planning_objective(u, a_raw, b_raw, cfg, temp, sharp)
+                    a, b = apps._ordered_bounds(Var(a_raw), Var(b_raw))
+                    assert got == float(apps._planning_terms(Var(u), a, b, cfg, temp, sharp).data)
+
+    @pytest.mark.parametrize("weights", [{}, {"gamma1": 0.0, "gamma2": 0.0, "gamma4": 0.0}],
+                             ids=["all_terms", "limit_term"])
+    def test_gradient_matches_finite_differences(self, weights):
+        # controls past the limit give the limit term's sqrt and relu a gradient
+        cfg = PlannerConfig(horizon=8, **weights)
+        temp, sharp, a_raw, b_raw = 10.0, 4.0, -1.2, 1.4
+        u0 = np.random.default_rng(92).normal(0.0, 1.5, (cfg.horizon, 2))
+        margins = np.linalg.norm(u0, axis=1) - cfg.control_limit
+        assert margins.max() > 0.1 and np.abs(margins).min() > 0.05  # clear of the relu kink
+        u, alpha, beta = Var(u0), Var(a_raw), Var(b_raw)
+        backward(apps._planning_terms(u, *apps._ordered_bounds(alpha, beta), cfg, temp, sharp))
+        assert np.max(np.abs(u.grad)) > 0.1
+
+        def objective(x):
+            return planning_objective(x[:-2].reshape(u0.shape), x[-2], x[-1], cfg, temp, sharp)
+
+        x0 = np.concatenate([u0.reshape(-1), [a_raw, b_raw]])
+        analytic = np.concatenate([u.grad.reshape(-1), [float(alpha.grad), float(beta.grad)]])
+        assert finite_diff_check(objective, x0, analytic, h=1e-6) < 1e-6
 
 
 class TestPlanTrajectory:
@@ -112,6 +155,17 @@ class TestMiningObjective:
                 max(-robustness(phi, NamedSignals.from_arrays({"s": row}), cfg), 0.0)
                 for row in data]) + 0.2 * (a - b)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
+                                      SoftMax(0.5), SoftMax(2.0), SoftMax(10.0)], ids=repr)
+    def test_builds_no_var_and_equals_the_taped_build(self, mode):
+        data = synth_step_dataset(4, n=8)
+        cfg = SemanticsConfig(mode=mode)
+        for a, b in ((0.1, 0.5), (0.3, 0.9), (0.0, 1.0)):
+            for sharp in (5.0, 50.0):
+                with builds_no_var():
+                    got = mining_objective(a, b, data, 0.15, sharp, cfg)
+                assert got == float(_mining_loss_var(Var(a), Var(b), sharp, data, 0.15, cfg).data)
 
     def test_dataset_is_a_constant_operand(self):
         data = synth_step_dataset(3, n=5)
@@ -199,6 +253,25 @@ def test_closed_interval_raises_diverged_with_step(run):
     # alpha == beta gives a == b, which the ordering alone cannot prevent
     with pytest.raises(DivergedError, match="at step 0"):
         run()
+
+
+@pytest.mark.parametrize("loss_name, run, wording", [
+    ("_planning_terms", lambda: plan_trajectory(PlannerConfig(steps=6)), "planning objective"),
+    ("_mining_loss_var", lambda: mine_interval(synth_step_dataset(0), MiningConfig(steps=6)),
+     "mining loss"),
+], ids=["plan", "mine"])
+def test_non_finite_loss_raises_diverged_with_step(monkeypatch, loss_name, run, wording):
+    original, calls = getattr(apps, loss_name), []
+
+    def loss(*args):
+        calls.append(args)
+        total = original(*args)
+        return total * math.nan if len(calls) == 4 else total
+
+    monkeypatch.setattr(apps, loss_name, loss)
+    with pytest.raises(DivergedError, match=f"^{wording} became nan at step 3$"):
+        run()
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("setting, value", [

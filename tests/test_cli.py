@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import builds_no_var
 from stlmask import apps, cli, masking
 from stlmask.cli import main
 from stlmask.core import NamedSignals
@@ -139,6 +140,16 @@ class TestEvalTrace:
                 traces.append(json.loads(capsys.readouterr().out))
             np.testing.assert_allclose(traces[0], traces[1], atol=1e-9)
             np.testing.assert_allclose(traces[0], traces[2], atol=1e-9)
+
+    @pytest.mark.parametrize("engine", ["masking", "recurrent"])
+    def test_eval_and_trace_build_no_var(self, engine, capsys):
+        for command in ("eval", "trace"):
+            for mode in ("hard", "lse"):
+                with builds_no_var():
+                    assert run_cli(command, "G[0,3] (x > -1) | ((x > -1) U (y > 0.5))",
+                                   str(DATA / "demo_xy.csv"), "--engine", engine,
+                                   "--mode", mode, "--temp", "5") == 0
+        assert capsys.readouterr().out
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "res.json"

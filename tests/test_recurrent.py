@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import corpus_config, equivalence_case
+from helpers import builds_no_var, corpus_config, equivalence_case
 from stlmask.bench import bench_formulas
 from stlmask.core import (
     Hard,
@@ -15,10 +15,10 @@ from stlmask.core import (
     SoftMax,
 )
 from stlmask.formula import Always, Pred, parse
-from stlmask.masking import robustness_trace, trace_var
+from stlmask.masking import robustness, robustness_trace, trace_var
 from stlmask.recurrent import trace_recurrent, trace_var_recurrent
 from stlmask.reference import trace_ref
-from stlmask.tape import Var, backward
+from stlmask.tape import Var, as_var, backward
 
 S8 = NamedSignals.from_arrays({"s": np.arange(8.0)})
 
@@ -65,7 +65,7 @@ class TestEquivalence:
             grads = []
             for build in (trace_var, trace_var_recurrent):
                 channels = {name: Var(signals[name].values) for name in signals.names()}
-                backward(build(f, channels, signals.length, cfg), cotangent)
+                backward(as_var(build(f, channels, signals.length, cfg)), cotangent)
                 grads.append(np.stack([np.zeros(signals.length) if v.grad is None else v.grad
                                        for v in channels.values()]))
             np.testing.assert_allclose(grads[1], grads[0], rtol=0, atol=1e-9)
@@ -173,12 +173,50 @@ class TestConstantsAreNotTraced:
             for padding in (PaddingPolicy.constant(-0.5), PaddingPolicy.last_value()):
                 channels = {name: Var(rng.normal(0, 1, length)) for name in ("x", "y")}
                 out = build(f, channels, length, SemanticsConfig(mode=mode, padding=padding))
-                if out._vjp is None:
-                    continue  # a trace that reads no channel: one leaf, no graph
+                if not isinstance(out, Var):
+                    continue  # a trace that reads no channel: an array, no graph
                 backward(out, rng.normal(0, 1, length))
                 assert self.inner_leaves(out, channels) == [], f
                 traced += 1
         assert traced > 60
+
+
+class TestEvaluationBuildsNoGraph:
+    """The evaluation entry points run the engines' kernels on the channel
+    arrays: they construct no Var, and each trace equals the one built on Var
+    channels bit for bit."""
+
+    MODES = (Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
+             SoftMax(0.5), SoftMax(2.0), SoftMax(10.0))
+    PADDINGS = (PaddingPolicy.last_value(), PaddingPolicy.constant(-0.5))
+
+    @pytest.mark.parametrize("evaluate, build, count", [
+        (robustness_trace, trace_var, 120),
+        (trace_recurrent, trace_var_recurrent, 60),
+    ], ids=["masked", "recurrent"])
+    def test_corpus_traces_equal_the_var_channel_build(self, evaluate, build, count):
+        rng = np.random.default_rng(83)
+        compared = 0
+        for _ in range(count):
+            f, signals = equivalence_case(rng, max_len=24)
+            for mode in self.MODES:
+                for padding in self.PADDINGS:
+                    cfg = SemanticsConfig(mode=mode, padding=padding)
+                    with builds_no_var():
+                        got = evaluate(f, signals, cfg)
+                    channels = {name: Var(signals[name].values) for name in signals.names()}
+                    want = as_var(build(f, channels, signals.length, cfg)).data
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (f, cfg)
+                    compared += 1
+        assert compared == count * len(self.MODES) * len(self.PADDINGS)
+
+    def test_robustness_builds_no_var(self):
+        rng = np.random.default_rng(84)
+        for _ in range(20):
+            f, signals = equivalence_case(rng)
+            with builds_no_var():
+                value = robustness(f, signals, SemanticsConfig(mode=LogSumExp(5.0)))
+            assert value == robustness_trace(f, signals, SemanticsConfig(mode=LogSumExp(5.0)))[0]
 
 
 class TestSoftmaxPathology:
