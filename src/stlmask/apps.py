@@ -211,12 +211,13 @@ def _planning_terms(u, a, b, cfg: PlannerConfig, temp: float, sharp: float):
     from arrays and floats."""
     length = cfg.horizon + 1
     px, py = _rollout(cfg.start, u, cfg.dt)
-    # placeholder interval; trace_var rebinds (a, b, c) to the given values
+    # placeholder interval: its window weights are those of (a, b, sharp)
     si = SmoothInterval(0.25, 0.75, sharp)
     phi = planning_formula(cfg, si)
     sem = SemanticsConfig(mode=LogSumExp(temp))
+    weights = masking.smooth_weights_var(a, b, sharp, si.eps, length)
     rho = tape.index_last(
-        masking.trace_var(phi, {"x": px, "y": py}, length, sem, smooth_binding=(a, b, sharp)), 0)
+        masking.trace_var(phi, {"x": px, "y": py}, length, sem, smooth_weights=weights), 0)
 
     sumsq = tape.vsum(tape.square(u), axis=-1)
     norms = tape.sqrt(sumsq + 1e-12)

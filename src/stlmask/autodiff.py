@@ -37,20 +37,12 @@ class Gradients:
     d_c: Optional[float] = None
 
 
-def _is_smooth(f: Formula) -> bool:
-    return isinstance(f, (Eventually, Always)) and isinstance(f.interval, SmoothInterval)
-
-
 def _smooth_intervals(f: Formula) -> list[SmoothInterval]:
-    found = [f.interval] if _is_smooth(f) else []
+    smooth = isinstance(f, (Eventually, Always)) and isinstance(f.interval, SmoothInterval)
+    found = [f.interval] if smooth else []
     for child in f.children():
         found += _smooth_intervals(child)
     return found
-
-
-def _rebind_smooth(f: Formula, si: SmoothInterval) -> Formula:
-    g = f.replace_children(*(_rebind_smooth(child, si) for child in f.children()))
-    return replace(g, interval=si) if _is_smooth(g) else g
 
 
 def value_and_grad(f: Formula, signals: NamedSignals,
@@ -66,17 +58,16 @@ def value_and_grad(f: Formula, signals: NamedSignals,
     if si is not None:
         if not sis:
             raise ValueError("formula has no smooth-interval node to bind")
-        f = _rebind_smooth(f, si)
-        target = si
+    elif len(set(sis)) > 1:
+        raise ValueError("multiple distinct smooth intervals; pass si= to bind them")
     elif sis:
-        if len(set(sis)) > 1:
-            raise ValueError("multiple distinct smooth intervals; pass si= to bind them")
-        target = sis[0]
-    else:
-        target = None
+        si = sis[0]
 
-    params = None if target is None else (Var(target.a), Var(target.b), Var(target.c))
-    out = masking.trace_var(f, channels, signals.length, cfg, smooth_binding=params)
+    params = weights = None
+    if si is not None:
+        params = (Var(si.a), Var(si.b), Var(si.c))
+        weights = masking.smooth_weights_var(*params, si.eps, signals.length)
+    out = masking.trace_var(f, channels, signals.length, cfg, smooth_weights=weights)
     # a start that reaches no leaf is a plain array; backward needs a node
     value = tape.as_var(tape.index_last(out, 0))
     tape.backward(value)

@@ -108,13 +108,13 @@ def run_bench(sizes=(32, 64, 128, 256, 512), reps: int = 11, batch: int = 8,
     value_cfg = SemanticsConfig(mode=Hard())
     grad_cfg = SemanticsConfig(mode=LogSumExp(_GRAD_TEMP))
 
+    kinds = ("value", "grad") if include_grad else ("value",)
     results = []
     for name, f in formulas.items():
         for length in sizes:
             data = _channels(int(length), batch, rng)
             for engine in ("masking", "recurrent"):
                 measurements = {}
-                kinds = ("value", "grad") if include_grad else ("value",)
                 for kind in kinds:
                     fn = _engine_fn(engine, f, data, int(length),
                                     grad_cfg if kind == "grad" else value_cfg, kind == "grad")
@@ -128,18 +128,15 @@ def run_bench(sizes=(32, 64, 128, 256, 512), reps: int = 11, batch: int = 8,
                                     f"{k}_{m}": v for k, d in measurements.items()
                                     for m, v in d.items()}})
 
+    by_key = {(r["formula"], r["length"], r["engine"]): r for r in results}
     relative = []
     for name in formulas:
         for length in sizes:
+            masked = by_key[(name, int(length), "masking")]
+            rec = by_key[(name, int(length), "recurrent")]
             row = {"formula": name, "length": int(length)}
-            for kind in (("value", "grad") if include_grad else ("value",)):
-                mask_med = next(r[f"{kind}_median_s"] for r in results
-                                if r["formula"] == name and r["length"] == length
-                                and r["engine"] == "masking")
-                rec_med = next(r[f"{kind}_median_s"] for r in results
-                               if r["formula"] == name and r["length"] == length
-                               and r["engine"] == "recurrent")
-                row[f"{kind}_relative"] = mask_med / rec_med - 1.0
+            for kind in kinds:
+                row[f"{kind}_relative"] = masked[f"{kind}_median_s"] / rec[f"{kind}_median_s"] - 1.0
             relative.append(row)
 
     return {

@@ -85,7 +85,10 @@ class Signal:
     dt: float = 1.0
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim > 1:
+            raise ShapeError(f"signal samples must be one-dimensional, got shape {arr.shape}")
+        arr = arr.reshape(-1).copy()
         if arr.size == 0:
             raise EmptySignalError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):

@@ -31,19 +31,23 @@ and a convex recurrence of the window's own softmax average for softmax):
 * until's left prefix mins are one prefix scan along the gathered window
   axis, so an until node has the same number of tape nodes at any length.
 
-Padding rule: a trace entry whose window overruns the signal end is the
+Padding rule, applied by :func:`walk` alone for both tape engines: a start
+whose window ``[t + a, t + b]`` overruns the signal end takes the
 padding-derived constant (for until, the hard min of the two child padding
-values) — past the end only the assumed padding region is visible, and every
-operator reduces a constant region to that constant.  Timed operators
-therefore gather only the ``L - b`` starts whose window fits, from the real
-samples, and append that constant for the rest.  Untimed windows clip at the
-end instead.
+values) — past the end only the assumed padding region is visible, and
+every operator reduces a constant region to that constant.  So ``walk``
+asks a kernel only for the ``L - b`` starts whose window fits, which it
+reduces from the real samples, and appends that constant for the rest.  A
+smooth interval's windows of ``L`` samples read the ``L - 1`` padding
+samples that ``walk`` appends to the child; untimed windows clip at the end.
 
 Constants stay plain arrays, as the tape returns them: ``TRUE``, constant
 padding, padding-only tails and whatever is built from them alone, so
 ``backward`` sends them nothing.  The evaluation entry points pass the
 channels as arrays, so the same kernels build no graph at all.
-Smooth-interval weights, bound or not, come from :func:`smooth_weights_var`.
+Smooth-interval weights come from :func:`smooth_weights_var`: ``walk``
+builds them from the node's interval unless the caller passes them in, as
+``value_and_grad`` and the planner do with taped bounds.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ import numpy as np
 
 from . import tape
 from .core import (
-    EmptyWindowError,
     Hard,
     LogSumExp,
     NamedSignals,
@@ -61,7 +64,6 @@ from .core import (
     SmoothInterval,
     StepInterval,
     ValidationError,
-    window_size,
 )
 from .formula import (
     Always,
@@ -85,38 +87,19 @@ __all__ = [
     "robustness",
     "trace_var",
     "walk",
-    "pad_value",
     "smooth_weights_var",
 ]
 
 # ---------------------------------------------------------------------------
-# Window helpers on tape variables (reductions run along the last axis)
+# Window kernels on tape variables (reductions run along the last axis)
 # ---------------------------------------------------------------------------
 
-def _padding(x: Var, count: int, length: int, cfg: SemanticsConfig):
+def _padding(x, count: int, cfg: SemanticsConfig):
     """``count`` copies of the value assumed past the end of ``x``: a gather
     of its last sample, or the padding constant as an array (no node)."""
     if cfg.padding.kind == "last" and count:
-        return tape.take_last(x, np.full(count, length - 1, dtype=np.intp))
+        return tape.take_last(x, np.full(count, x.shape[-1] - 1, dtype=np.intp))
     return np.full(x.shape[:-1] + (count,), cfg.padding.value)
-
-
-def _pad_var(x: Var, count: int, length: int, cfg: SemanticsConfig) -> Var:
-    return x if count == 0 else tape.concat_last([x, _padding(x, count, length, cfg)])
-
-
-def _reduce(x, kind: str, cfg: SemanticsConfig, weights=None) -> Var:
-    if kind == "max":
-        return tape.smooth_max(x, cfg.mode, weights)
-    return tape.smooth_min(x, cfg.mode, weights)
-
-
-def pad_value(child, length: int, cfg: SemanticsConfig):
-    """The value assumed past the end of ``child``; shape ``child.shape[:-1]``.
-    Constant padding is a plain array."""
-    if cfg.padding.kind == "last":
-        return tape.index_last(child, length - 1)
-    return np.full(child.shape[:-1], cfg.padding.value)
 
 
 def _then_padding(fit, tail):
@@ -127,28 +110,26 @@ def _then_padding(fit, tail):
     return fit if tail.shape[-1] == 0 else tape.concat_last([fit, tail])
 
 
-def _ev_always_var(child: Var, length: int, iv, cfg: SemanticsConfig, kind: str,
-                   smooth_weights=None) -> Var:
-    if isinstance(iv, SmoothInterval):
-        padded = _pad_var(child, length - 1, length, cfg)
-        idx = np.arange(length)[:, None] + np.arange(length)[None, :]
-        win = tape.take_last(padded, idx)
-        w = smooth_weights
-        if w is None:
-            w = smooth_weights_var(iv.a, iv.b, iv.c, iv.eps, length)
-        w_data = w.data if isinstance(w, Var) else w
-        if not np.any(w_data > 0):
-            raise EmptyWindowError("smooth interval produced an all-zero weight vector")
-        return _reduce(win, kind, cfg, weights=w)
+def _reduce(x, sign: float, cfg: SemanticsConfig, weights=None) -> Var | np.ndarray:
+    if sign > 0:
+        return tape.smooth_max(x, cfg.mode, weights)
+    return tape.smooth_min(x, cfg.mode, weights)
+
+
+def _ev_always_var(child, iv, cfg: SemanticsConfig, sign: float, weights) -> Var | np.ndarray:
+    """``F`` (``sign`` +1) or ``G`` (-1): one reduction of every window that
+    fits in ``child``, or a suffix scan when untimed."""
     if iv is None:
-        return tape.cum_reduce(child, cfg.mode, 1.0 if kind == "max" else -1.0, reverse=True)
-    fits = max(length - iv.b, 0)
-    idx = np.arange(fits)[:, None] + iv.a + np.arange(window_size(iv))[None, :]
-    fit = _reduce(tape.take_last(child, idx), kind, cfg) if fits else None
-    return _then_padding(fit, _padding(child, length - fits, length, cfg))
+        return tape.cum_reduce(child, cfg.mode, sign, reverse=True)
+    if isinstance(iv, SmoothInterval):
+        offsets = np.arange(weights.shape[-1])
+    else:
+        offsets = np.arange(iv.a, iv.b + 1)
+    starts = np.arange(child.shape[-1] - offsets[-1])
+    return _reduce(tape.take_last(child, starts[:, None] + offsets), sign, cfg, weights)
 
 
-def _gathered_until(left: Var, right: Var, idx: np.ndarray, a: int, mode, weights=None) -> Var:
+def _gathered_until(left, right, idx: np.ndarray, a: int, mode, weights=None) -> Var | np.ndarray:
     """Until over the windows whose sample positions are the rows of ``idx``:
     one scan of left prefix mins per row, each paired with the right value
     from column ``a`` on, then a max over the pairs kept by ``weights``."""
@@ -159,23 +140,23 @@ def _gathered_until(left: Var, right: Var, idx: np.ndarray, a: int, mode, weight
     return tape.smooth_max(stacked, mode, weights)
 
 
-def _until_var(left: Var, right: Var, length: int, iv, cfg: SemanticsConfig) -> Var:
+def _until_var(left, right, iv, cfg: SemanticsConfig) -> Var | np.ndarray:
+    """``U`` over every window ``[t, t + b]`` that fits, or over every
+    start's window clipped at the end when untimed."""
     if isinstance(iv, SmoothInterval):
         raise TypeError("until does not support smooth intervals")
-    if iv is None:
-        if isinstance(cfg.mode, Hard):
-            return tape.hard_until(left, right)
-        if isinstance(cfg.mode, LogSumExp):
-            return tape.lse_until(left, right, cfg.mode)
-        # every start's window, clipped at the end and masked out past it
-        ends = np.arange(length)[:, None] + np.arange(length)[None, :]
-        return _gathered_until(left, right, np.minimum(ends, length - 1), 0, cfg.mode,
-                               (ends < length).astype(np.float64))
-    fits = max(length - iv.b, 0)
-    idx = np.arange(fits)[:, None] + np.arange(iv.b + 1)[None, :]
-    fit = _gathered_until(left, right, idx, iv.a, cfg.mode) if fits else None
-    tail = [_padding(x, length - fits, length, cfg) for x in (left, right)]
-    return _then_padding(fit, tape.pair_smooth_min(*tail, Hard()))
+    length = left.shape[-1]
+    if iv is not None:
+        idx = np.arange(length - iv.b)[:, None] + np.arange(iv.b + 1)[None, :]
+        return _gathered_until(left, right, idx, iv.a, cfg.mode)
+    if isinstance(cfg.mode, Hard):
+        return tape.hard_until(left, right)
+    if isinstance(cfg.mode, LogSumExp):
+        return tape.lse_until(left, right, cfg.mode)
+    # every start's window, clipped at the end and masked out past it
+    ends = np.arange(length)[:, None] + np.arange(length)[None, :]
+    return _gathered_until(left, right, np.minimum(ends, length - 1), 0, cfg.mode,
+                           (ends < length).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +182,22 @@ def smooth_weights_var(a, b, c, eps: float, length: int):
 
 
 def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
-         ev_always, until, smooth_binding=None) -> Var:
-    """Robustness trace of ``f`` on the tape, given an engine's temporal kernels.
+         ev_always, until, smooth_weights=None) -> Var | np.ndarray:
+    """Robustness trace of ``f`` given an engine's temporal kernels: a
+    :class:`Var` where it reaches one, else a plain array.
 
-    ``ev_always(child, length, interval, cfg, kind, smooth_weights)`` with
-    ``kind`` ``"max"`` (``F``) or ``"min"`` (``G``); ``until(left, right,
-    length, interval, cfg)``.  Recursion stays inside this function, so a
-    wrapper around an engine's entry point sees one call per trace.
+    This function applies the padding rule, so a kernel reduces only the
+    windows that fit in the trace it is given: the first ``L - b`` starts
+    over ``[a, b]``, called only if there are any, and over a smooth interval
+    the ``L`` windows of the padded child under ``smooth_weights``, which
+    default to the node's own interval's.  ``ev_always(child, interval, cfg,
+    sign, weights)`` with ``sign`` +1 for ``F`` and -1 for ``G``, as in
+    :mod:`stlmask.tape`; ``until(left, right, interval, cfg)``.  Recursion
+    stays inside this function, so a wrapper around an engine's entry point
+    sees one call per trace.
     """
-    def rec(g: Formula) -> Var:
-        return walk(g, channels, length, cfg, ev_always, until, smooth_binding)
+    def rec(g: Formula):
+        return walk(g, channels, length, cfg, ev_always, until, smooth_weights)
 
     if isinstance(f, TrueFormula):
         batch = next(iter(channels.values())).shape[:-1] if channels else ()
@@ -227,28 +214,40 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
     if isinstance(f, Or):
         return tape.pair_smooth_max(rec(f.left), rec(f.right), cfg.mode)
     if isinstance(f, (Eventually, Always)):
-        child = rec(f.arg)
-        weights = None
-        if isinstance(f.interval, SmoothInterval) and smooth_binding is not None:
-            a, b, c = smooth_binding
-            weights = smooth_weights_var(a, b, c, f.interval.eps, length)
-        kind = "max" if isinstance(f, Eventually) else "min"
-        return ev_always(child, length, f.interval, cfg, kind, weights)
+        child, iv = rec(f.arg), f.interval
+        sign = 1.0 if isinstance(f, Eventually) else -1.0
+        if iv is None:
+            return ev_always(child, iv, cfg, sign, None)
+        if isinstance(iv, SmoothInterval):
+            w = smooth_weights
+            if w is None:
+                w = smooth_weights_var(iv.a, iv.b, iv.c, iv.eps, length)
+            padded = _then_padding(child, _padding(child, length - 1, cfg))
+            return ev_always(padded, iv, cfg, sign, w)
+        fits = max(length - iv.b, 0)
+        fit = ev_always(child, iv, cfg, sign, None) if fits else None
+        return _then_padding(fit, _padding(child, length - fits, cfg))
     if isinstance(f, Until):
-        return until(rec(f.left), rec(f.right), length, f.interval, cfg)
+        left, right, iv = rec(f.left), rec(f.right), f.interval
+        if iv is None or isinstance(iv, SmoothInterval):
+            return until(left, right, iv, cfg)
+        fits = max(length - iv.b, 0)
+        fit = until(left, right, iv, cfg) if fits else None
+        tails = [_padding(x, length - fits, cfg) for x in (left, right)]
+        return _then_padding(fit, tape.pair_smooth_min(*tails, Hard()))
     raise TypeError(f"not a Formula node: {f!r}")
 
 
 def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
-              smooth_binding=None) -> Var | np.ndarray:
+              smooth_weights=None) -> Var | np.ndarray:
     """Masked robustness trace on the tape; shape ``(..., length)``.  A trace
     that reaches no :class:`Var` is a plain array.
 
-    ``channels`` may carry leading batch axes.  ``smooth_binding``, when
-    given, is an ``(a, b, c)`` triple (floats or :class:`Var`) substituted for
-    the parameters of every smooth-interval node in ``f``.
+    ``channels`` may carry leading batch axes.  ``smooth_weights``, when
+    given, are the window weights of every smooth-interval node in ``f``,
+    for example :func:`smooth_weights_var` of taped bounds.
     """
-    return walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_binding)
+    return walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_weights)
 
 
 def _checked_channels(f: Formula, signals: NamedSignals) -> dict[str, np.ndarray]:
@@ -277,31 +276,38 @@ def robustness(f: Formula, signals: NamedSignals,
 # ---------------------------------------------------------------------------
 
 def _as_trace(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim > 1:
+        raise ShapeError(f"{name} trace must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{name} trace must be non-empty")
-    return arr
+    return arr.reshape(-1)
+
+
+def _trace_op(node, iv, cfg: SemanticsConfig, **traces) -> np.ndarray:
+    """``node`` over ``iv`` on the given traces through :func:`walk`, each
+    read by a predicate ``name > 0`` (``x - 0.0 == x`` exactly)."""
+    arrays = {name: _as_trace(v, name) for name, v in traces.items()}
+    sizes = [arr.size for arr in arrays.values()]
+    if len(set(sizes)) > 1:
+        raise ShapeError(f"trace lengths differ: {' vs '.join(map(str, sizes))}")
+    f = node(*(Pred(name, ">", 0.0) for name in arrays), iv)
+    return np.array(walk(f, arrays, sizes[0], cfg, _ev_always_var, _until_var), copy=True)
 
 
 def eventually_trace(inner, iv: StepInterval | SmoothInterval | None,
                      cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Windowed max over the inner trace, one entry per start timestep."""
-    arr = _as_trace(inner, "inner")
-    return np.array(_ev_always_var(arr, arr.size, iv, cfg, "max"), copy=True)
+    return _trace_op(Eventually, iv, cfg, inner=inner)
 
 
 def always_trace(inner, iv: StepInterval | SmoothInterval | None,
                  cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Windowed min over the inner trace, one entry per start timestep."""
-    arr = _as_trace(inner, "inner")
-    return np.array(_ev_always_var(arr, arr.size, iv, cfg, "min"), copy=True)
+    return _trace_op(Always, iv, cfg, inner=inner)
 
 
 def until_trace(left, right, iv: StepInterval | None,
                 cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Until combination of two child traces."""
-    l_arr = _as_trace(left, "left")
-    r_arr = _as_trace(right, "right")
-    if l_arr.size != r_arr.size:
-        raise ShapeError(f"trace lengths differ: {l_arr.size} vs {r_arr.size}")
-    return np.array(_until_var(l_arr, r_arr, l_arr.size, iv, cfg), copy=True)
+    return _trace_op(Until, iv, cfg, left=left, right=right)

@@ -140,6 +140,14 @@ def equivalence_case(rng, depth=3, max_len=40):
     return f, signals
 
 
+def vars_built(fn, *args):
+    """``fn(*args)`` and the number of :class:`stlmask.tape.Var` it
+    constructed, read off the tape's creation counter."""
+    start = next(tape._creation)
+    out = fn(*args)
+    return out, next(tape._creation) - start - 1
+
+
 @contextlib.contextmanager
 def builds_no_var():
     """Fails the test when the block constructs a :class:`stlmask.tape.Var`:

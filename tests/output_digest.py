@@ -5,7 +5,7 @@ Run it on two checkouts and compare the printed lines::
 
     PYTHONPATH=src python tests/output_digest.py
 
-Five sets of results are hashed:
+Six sets of results are hashed:
 
 * masked: traces and channel gradients (with a random cotangent) of 300
   random formulas on random signals, in Hard, LogSumExp (tau = 0.5, 10, 500)
@@ -15,6 +15,10 @@ Five sets of results are hashed:
   300 cases and ``trace_recurrent`` on the first 60, in the same modes, and
   ``planning_objective`` and ``mining_objective`` on a small grid of
   controls, bounds and sharpness values;
+* trace ops: ``eventually_trace`` and ``always_trace`` on the cases'
+  ``x`` channel and ``until_trace`` on ``x`` and ``y``, over untimed, timed
+  (some longer than the signal) and smooth intervals, in every mode, with
+  last-value and constant padding;
 * smooth: ``F`` and ``G`` over smooth intervals whose bounds lie on a grid
   of tenths, many of them with a sample at the window's exact midpoint:
   unbound ``robustness_trace`` in every mode, and ``value_and_grad``
@@ -34,7 +38,7 @@ import numpy as np
 from helpers import random_formula, random_signals
 from stlmask import apps, autodiff, masking, recurrent, tape
 from stlmask.core import (Hard, LogSumExp, NamedSignals, PaddingPolicy, SemanticsConfig,
-                          SmoothInterval, SoftMax, StlError)
+                          SmoothInterval, SoftMax, StepInterval, StlError)
 from stlmask.formula import Always, And, Eventually, Pred
 from stlmask.recurrent import trace_recurrent
 from stlmask.tape import Var
@@ -48,6 +52,9 @@ SMOOTH_LENGTHS = (6, 10, 20)
 #: (sharpness, eps) pairs of the smooth-interval grid
 SMOOTH_SHAPES = ((4.0, 0.0), (40.0, 0.05))
 GRAD_MODES = (Hard(), LogSumExp(10.0), SoftMax(2.0))
+TRACE_INTERVALS = (None, StepInterval(0, 0), StepInterval(0, 3), StepInterval(2, 7),
+                   StepInterval(6, 30), SmoothInterval(0.2, 0.6, 8.0))
+TRACE_PADDINGS = (PaddingPolicy.last_value(), PaddingPolicy.constant(0.75))
 SEEDS = (0, 1, 2)
 
 
@@ -134,6 +141,24 @@ def values_digest(selected) -> str:
     return digest.hex()
 
 
+def trace_ops_digest(selected) -> str:
+    digest = Digest()
+    for _, signals, _, _ in selected:
+        x, y = signals["x"].values, signals["y"].values
+        for iv in TRACE_INTERVALS:
+            for mode in MODES:
+                for pad in TRACE_PADDINGS:
+                    cfg = SemanticsConfig(mode=mode, padding=pad)
+                    for op, args in ((masking.eventually_trace, (x,)), (masking.always_trace, (x,)),
+                                     (masking.until_trace, (x, y))):
+                        try:
+                            digest.add(op(*args, iv, cfg))
+                        except (StlError, TypeError) as exc:
+                            # until rejects smooth intervals with a TypeError
+                            digest.add(type(exc).__name__)
+    return digest.hex()
+
+
 def smooth_digest() -> str:
     digest = Digest()
     rng = np.random.default_rng(7)
@@ -167,6 +192,7 @@ def main():
     selected = cases()
     print("masked   ", engine_digest(masking.trace_var, selected))
     print("recurrent", engine_digest(recurrent.trace_var_recurrent, selected[:RECURRENT_CASES]))
+    print("trace ops", trace_ops_digest(selected))
     print("smooth   ", smooth_digest())
     print("values   ", values_digest(selected))
     for seed in SEEDS:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import builds_no_var
-from stlmask import apps, cli, masking
+from stlmask import apps, bench, cli, masking
 from stlmask.cli import main
 from stlmask.core import NamedSignals
 from stlmask.fileio import (
@@ -115,6 +115,14 @@ class TestEvalTrace:
     def test_eval_missing_file(self):
         assert run_cli("eval", "s > 0", "no_such_file.csv") == 2
 
+    @pytest.mark.parametrize("text", ["s\n1.0\nnot_a_number\n", "s,y\n1.0,2.0\n3.0\n", "s\n",
+                                      "t,s\n0,1\n0,2\n"],
+                             ids=["non-number", "ragged", "no-rows", "t-not-increasing"])
+    def test_eval_bad_csv(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run_cli("eval", "s > 0", str(path)) == 2
+
     def test_trace_example_both_paddings(self, capsys):
         assert run_cli("trace", "F[1,3] (s > 0)", str(DATA / "example1.csv")) == 0
         assert json.loads(capsys.readouterr().out) == [3, 4, 5, 6, 7, 7, 7, 7]
@@ -171,6 +179,18 @@ class TestBenchCommand:
             "phi1", "phi2", "phi3", "phi4", "phi5", "phi6"}
         assert all(r["value_median_s"] > 0 for r in report["results"])
         assert len(report["relative"]) == 12
+
+    def test_relative_rows_compare_the_engines_medians(self):
+        report = bench.run_bench(sizes=(8, 12), reps=2, batch=1, include_grad=True)
+        results = {(r["formula"], r["length"], r["engine"]): r for r in report["results"]}
+        assert [(r["formula"], r["length"]) for r in report["relative"]] == [
+            (name, length) for name in bench.bench_formulas() for length in (8, 12)]
+        for row in report["relative"]:
+            masked, rec = (results[(row["formula"], row["length"], engine)]
+                           for engine in ("masking", "recurrent"))
+            for kind in ("value", "grad"):
+                want = masked[f"{kind}_median_s"] / rec[f"{kind}_median_s"] - 1.0
+                assert row[f"{kind}_relative"] == want
 
     def test_gradient_bench_runs(self, tmp_path):
         out = tmp_path / "bench.json"

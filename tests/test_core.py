@@ -55,6 +55,20 @@ class TestSignal:
         src[0] = 9.0
         assert s.values[0] == 1.0
 
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 3), (5, 1), (2, 2, 2)])
+    def test_two_or_more_dimensions_rejected(self, shape):
+        # a (2, 5) array is not one signal of 10 samples
+        with pytest.raises(ShapeError):
+            make_signal(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            Signal(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            NamedSignals.from_arrays({"x": np.zeros(shape)})
+
+    def test_scalar_is_one_sample(self):
+        s = make_signal(2.5)
+        assert len(s) == 1 and s.values.shape == (1,) and s.values[0] == 2.5
+
 
 class TestNamedSignals:
     def test_lengths_must_match(self):

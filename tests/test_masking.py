@@ -238,12 +238,31 @@ class TestUntil:
         return expect
 
 
-def gathered_untimed_until(left, right, length, iv, cfg):
+class TestTraceArguments:
+    def test_two_or_more_dimensions_rejected(self):
+        # a (2, 2) trace is not four samples
+        with pytest.raises(ShapeError):
+            until_trace(np.ones((2, 2)), np.ones(4), None, LAST)
+        with pytest.raises(ShapeError):
+            until_trace(np.ones(4), np.ones((4, 1)), StepInterval(0, 1), LAST)
+        for op in (eventually_trace, always_trace):
+            for shape in ((2, 3), (1, 1, 4)):
+                with pytest.raises(ShapeError):
+                    op(np.ones(shape), StepInterval(0, 1), LAST)
+
+    def test_scalar_is_one_sample(self):
+        for op in (eventually_trace, always_trace):
+            np.testing.assert_array_equal(op(-2.5, StepInterval(0, 3), CONST_NEG), [-1e5])
+            np.testing.assert_array_equal(op(-2.5, None, LAST), [-2.5])
+        np.testing.assert_array_equal(until_trace(1.0, 3.0, None, LAST), [1.0])
+
+
+def gathered_untimed_until(left, right, iv, cfg):
     """The until kernel with untimed hard and log-sum-exp until as one
     square gather, the formulation the scan and the start-row tiles replace."""
     if iv is None and not isinstance(cfg.mode, SoftMax):
-        return gathered_until(left, right, length, cfg.mode)
-    return masking._until_var(left, right, length, iv, cfg)
+        return gathered_until(left, right, left.shape[-1], cfg.mode)
+    return masking._until_var(left, right, iv, cfg)
 
 
 def trace_and_grads(f, arrays, length, cfg, until, cotangent):
@@ -297,7 +316,7 @@ class TestUntimedUntil:
     def test_lse_until_node_matches_references(self, length, tau):
         x0, y0, g, exact = self.lse_case(length, tau)
         cfg = SemanticsConfig(mode=LogSumExp(tau))
-        got = self.value_and_grads(lambda l, r: masking._until_var(l, r, length, None, cfg), x0, y0, g)
+        got = self.value_and_grads(lambda l, r: masking._until_var(l, r, None, cfg), x0, y0, g)
         for x, y in zip(got, exact):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)
         # at tau=500 the gather's own gradient error reaches 1.3e-12 (L=63),

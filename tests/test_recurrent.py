@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import builds_no_var, corpus_config, equivalence_case
+from helpers import CHANNELS, builds_no_var, corpus_config, equivalence_case, vars_built
 from stlmask.bench import bench_formulas
 from stlmask.core import (
     Hard,
@@ -217,6 +217,30 @@ class TestEvaluationBuildsNoGraph:
             with builds_no_var():
                 value = robustness(f, signals, SemanticsConfig(mode=LogSumExp(5.0)))
             assert value == robustness_trace(f, signals, SemanticsConfig(mode=LogSumExp(5.0)))[0]
+
+
+class TestNoWindowFits:
+    """With ``b >= L`` every start takes the padding value, which the walker
+    appends without calling the kernel: the recurrent engine builds the
+    predicates and the padding nodes only, as the masked engine does, and
+    reads no sample with ``index_last``."""
+
+    @pytest.mark.parametrize("padding, gathers", [(PaddingPolicy.last_value(), True),
+                                                  (PaddingPolicy.constant(-0.5), False)],
+                             ids=["last", "constant"])
+    @pytest.mark.parametrize("text, preds, tail", [
+        ("F[2,8] (x > 0)", 1, 1),
+        ("G[8,8] (x > 0)", 1, 1),
+        ("(x > 0) U[0,9] (y < 1)", 2, 3),  # a gather per child and their hard min
+    ])
+    def test_builds_only_predicates_and_padding(self, text, preds, tail, padding, gathers):
+        rng = np.random.default_rng(85)
+        channels = {name: Var(rng.normal(0, 1, (2, 8))) for name in CHANNELS}
+        cfg = SemanticsConfig(padding=padding)
+        rec, rec_made = vars_built(trace_var_recurrent, parse(text), channels, 8, cfg)
+        masked, masked_made = vars_built(trace_var, parse(text), channels, 8, cfg)
+        assert rec_made == masked_made == preds + (tail if gathers else 0)
+        np.testing.assert_array_equal(as_var(rec).data, as_var(masked).data)
 
 
 class TestSoftmaxPathology:
