@@ -211,13 +211,9 @@ def _planning_terms(u, a, b, cfg: PlannerConfig, temp: float, sharp: float):
     from arrays and floats."""
     length = cfg.horizon + 1
     px, py = _rollout(cfg.start, u, cfg.dt)
-    # placeholder interval: its window weights are those of (a, b, sharp)
-    si = SmoothInterval(0.25, 0.75, sharp)
-    phi = planning_formula(cfg, si)
+    phi = planning_formula(cfg, SmoothInterval(a, b, sharp))
     sem = SemanticsConfig(mode=LogSumExp(temp))
-    weights = masking.smooth_weights_var(a, b, sharp, si.eps, length)
-    rho = tape.index_last(
-        masking.trace_var(phi, {"x": px, "y": py}, length, sem, smooth_weights=weights), 0)
+    rho = tape.index_last(masking.trace_var(phi, {"x": px, "y": py}, length, sem), 0)
 
     sumsq = tape.vsum(tape.square(u), axis=-1)
     norms = tape.sqrt(sumsq + 1e-12)
@@ -333,7 +329,7 @@ def _mining_loss_var(a, b, sharp, dataset: np.ndarray, gamma: float, cfg: Semant
     # window": a single weighted reduction of the raw signals, no unrolling;
     # the dataset is a constant operand, so backward computes no gradient for it
     n, length = dataset.shape
-    weights = masking.smooth_weights_var(a, b, sharp, eps, length)
+    weights = masking.smooth_weights_var(SmoothInterval(a, b, sharp, eps), length)
     rho0 = tape.smooth_min(dataset, cfg.mode, weights=weights)
     loss = tape.vsum(tape.relu(tape.neg(rho0))) * (1.0 / n)
     return loss + (a - b) * gamma

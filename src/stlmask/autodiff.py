@@ -1,7 +1,8 @@
 """Gradients of robustness with respect to signals and smooth-interval bounds.
 
 ``value_and_grad`` differentiates the masked engine's computation graph by
-reverse accumulation on the tape.  Hard mode yields the one-hot subgradient
+reverse accumulation on the tape, with the smooth-interval bounds bound as
+:class:`Var` leaves in the formula.  Hard mode yields the one-hot subgradient
 at the first extremal window entry; the clamp in the smooth window mask has
 zero gradient where it is active.  ``finite_diff_check`` is the verification
 contract: central differences against an analytic gradient vector.
@@ -45,6 +46,13 @@ def _smooth_intervals(f: Formula) -> list[SmoothInterval]:
     return found
 
 
+def _bind(f: Formula, si: SmoothInterval) -> Formula:
+    """``f`` with ``si`` as the interval of every smooth-interval node."""
+    if isinstance(f, (Eventually, Always)) and isinstance(f.interval, SmoothInterval):
+        f = replace(f, interval=si)
+    return f.replace_children(*(_bind(g, si) for g in f.children()))
+
+
 def value_and_grad(f: Formula, signals: NamedSignals,
                    cfg: SemanticsConfig = SemanticsConfig(),
                    si: Optional[SmoothInterval] = None) -> Gradients:
@@ -63,11 +71,10 @@ def value_and_grad(f: Formula, signals: NamedSignals,
     elif sis:
         si = sis[0]
 
-    params = weights = None
     if si is not None:
-        params = (Var(si.a), Var(si.b), Var(si.c))
-        weights = masking.smooth_weights_var(*params, si.eps, signals.length)
-    out = masking.trace_var(f, channels, signals.length, cfg, smooth_weights=weights)
+        si = replace(si, a=Var(si.a), b=Var(si.b), c=Var(si.c))
+        f = _bind(f, si)
+    out = masking.trace_var(f, channels, signals.length, cfg)
     # a start that reaches no leaf is a plain array; backward needs a node
     value = tape.as_var(tape.index_last(out, 0))
     tape.backward(value)
@@ -77,10 +84,10 @@ def value_and_grad(f: Formula, signals: NamedSignals,
         for name, v in channels.items()
     }
     grads = Gradients(value=float(value.data), d_signal=d_signal)
-    if params is not None:
+    if si is not None:
         def scalar(v: Var) -> float:
             return float(v.grad) if v.grad is not None else 0.0
-        grads = replace(grads, d_a=scalar(params[0]), d_b=scalar(params[1]), d_c=scalar(params[2]))
+        grads = replace(grads, d_a=scalar(si.a), d_b=scalar(si.b), d_c=scalar(si.c))
     return grads
 
 

@@ -176,7 +176,8 @@ class SmoothInterval:
     ``a`` and ``b`` are fractions of the signal length, ``c`` is the mask
     sharpness, and ``eps`` is subtracted from the mask before clamping at
     zero.  Keep ``eps`` at 0 unless downstream code needs strictly-zero tail
-    weights; positive values can empty a window entirely.
+    weights; positive values can empty a window entirely.  ``a``, ``b`` and
+    ``c`` may be :class:`stlmask.tape.Var`, checked by value, to take gradients.
     """
 
     a: float
@@ -185,10 +186,12 @@ class SmoothInterval:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b <= 1.0):
-            raise InvalidIntervalError(f"need 0 <= a < b <= 1, got ({self.a}, {self.b})")
-        if not self.c > 0:
-            raise InvalidIntervalError(f"mask sharpness c must be positive, got {self.c}")
+        from .tape import Var  # tape imports this module
+        a, b, c = (v.data if isinstance(v, Var) else v for v in (self.a, self.b, self.c))
+        if not (0.0 <= a < b <= 1.0):
+            raise InvalidIntervalError(f"need 0 <= a < b <= 1, got ({a}, {b})")
+        if not c > 0:
+            raise InvalidIntervalError(f"mask sharpness c must be positive, got {c}")
         if not (0.0 <= self.eps < 0.5):
             raise InvalidIntervalError(f"need 0 <= eps < 0.5, got {self.eps}")
 

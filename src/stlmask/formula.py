@@ -132,11 +132,20 @@ class Or(Formula):
     right: Formula
 
 
+def _check_interval(iv):
+    """Raises :class:`InvalidIntervalError` unless ``iv`` is ``None`` or an interval."""
+    if not (iv is None or isinstance(iv, (StepInterval, SmoothInterval))):
+        raise InvalidIntervalError(f"not a temporal interval: {iv!r}")
+
+
 @dataclass(frozen=True)
 class Eventually(Formula):
     _child_fields = ("arg",)
     arg: Formula
     interval: Union[StepInterval, SmoothInterval, None] = None
+
+    def __post_init__(self):
+        _check_interval(self.interval)
 
 
 @dataclass(frozen=True)
@@ -145,6 +154,9 @@ class Always(Formula):
     arg: Formula
     interval: Union[StepInterval, SmoothInterval, None] = None
 
+    def __post_init__(self):
+        _check_interval(self.interval)
+
 
 @dataclass(frozen=True)
 class Until(Formula):
@@ -152,6 +164,11 @@ class Until(Formula):
     left: Formula
     right: Formula
     interval: Optional[StepInterval] = None
+
+    def __post_init__(self):
+        if isinstance(self.interval, SmoothInterval):
+            raise TypeError("until does not support smooth intervals")
+        _check_interval(self.interval)
 
 
 TRUE = TrueFormula()

@@ -45,9 +45,8 @@ Constants stay plain arrays, as the tape returns them: ``TRUE``, constant
 padding, padding-only tails and whatever is built from them alone, so
 ``backward`` sends them nothing.  The evaluation entry points pass the
 channels as arrays, so the same kernels build no graph at all.
-Smooth-interval weights come from :func:`smooth_weights_var`: ``walk``
-builds them from the node's interval unless the caller passes them in, as
-``value_and_grad`` and the planner do with taped bounds.
+Smooth-interval weights are :func:`smooth_weights_var` of the node's own
+interval, taped where its bounds are :class:`Var`.
 """
 
 from __future__ import annotations
@@ -143,8 +142,6 @@ def _gathered_until(left, right, idx: np.ndarray, a: int, mode, weights=None) ->
 def _until_var(left, right, iv, cfg: SemanticsConfig) -> Var | np.ndarray:
     """``U`` over every window ``[t, t + b]`` that fits, or over every
     start's window clipped at the end when untimed."""
-    if isinstance(iv, SmoothInterval):
-        raise TypeError("until does not support smooth intervals")
     length = left.shape[-1]
     if iv is not None:
         idx = np.arange(length - iv.b)[:, None] + np.arange(iv.b + 1)[None, :]
@@ -163,41 +160,41 @@ def _until_var(left, right, iv, cfg: SemanticsConfig) -> Var | np.ndarray:
 # Formula evaluation
 # ---------------------------------------------------------------------------
 
-def smooth_weights_var(a, b, c, eps: float, length: int):
-    """Window weights from interval params, floats or :class:`Var`:
-    ``relu(sigmoid(c*(i - a*L)) - sigmoid(c*(i - b*L)) - eps)``, a plain
-    array when no param is taped.
+def smooth_weights_var(iv: SmoothInterval, length: int):
+    """Window weights of ``iv``, whose ``a``, ``b``, ``c`` are floats or
+    :class:`Var`: ``relu(sigmoid(c*(i - a*L)) - sigmoid(c*(i - b*L)) - eps)``,
+    a plain array when no bound is taped.
 
     Past the window's midpoint both sigmoid arguments are negated and the
     difference negated back (``sigmoid(-z) = 1 - sigmoid(z)``), so no weight
     is the difference of two values near 1 (see
     ``smoothing.smooth_time_mask``)."""
-    a_data, b_data = (v.data if isinstance(v, Var) else v for v in (a, b))
+    a_data, b_data = (v.data if isinstance(v, Var) else v for v in (iv.a, iv.b))
     i = np.arange(length, dtype=np.float64)
     # smooth_time_mask's midpoint: float bounds give its weights bit for bit
     flip = np.where(np.arange(length) > 0.5 * (a_data * length + b_data * length), -1.0, 1.0)
-    lo = tape.sigmoid((i - a * float(length)) * (c * flip))
-    hi = tape.sigmoid((i - b * float(length)) * (c * flip))
-    return tape.relu((lo - hi) * flip - eps)
+    lo = tape.sigmoid((i - iv.a * float(length)) * (iv.c * flip))
+    hi = tape.sigmoid((i - iv.b * float(length)) * (iv.c * flip))
+    return tape.relu((lo - hi) * flip - iv.eps)
 
 
 def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
-         ev_always, until, smooth_weights=None) -> Var | np.ndarray:
+         ev_always, until) -> Var | np.ndarray:
     """Robustness trace of ``f`` given an engine's temporal kernels: a
     :class:`Var` where it reaches one, else a plain array.
 
     This function applies the padding rule, so a kernel reduces only the
     windows that fit in the trace it is given: the first ``L - b`` starts
     over ``[a, b]``, called only if there are any, and over a smooth interval
-    the ``L`` windows of the padded child under ``smooth_weights``, which
-    default to the node's own interval's.  ``ev_always(child, interval, cfg,
-    sign, weights)`` with ``sign`` +1 for ``F`` and -1 for ``G``, as in
+    the ``L`` windows of the padded child under :func:`smooth_weights_var`
+    of the node's interval.  ``ev_always(child, interval, cfg, sign,
+    weights)`` with ``sign`` +1 for ``F`` and -1 for ``G``, as in
     :mod:`stlmask.tape`; ``until(left, right, interval, cfg)``.  Recursion
     stays inside this function, so a wrapper around an engine's entry point
     sees one call per trace.
     """
     def rec(g: Formula):
-        return walk(g, channels, length, cfg, ev_always, until, smooth_weights)
+        return walk(g, channels, length, cfg, ev_always, until)
 
     if isinstance(f, TrueFormula):
         batch = next(iter(channels.values())).shape[:-1] if channels else ()
@@ -219,17 +216,14 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
         if iv is None:
             return ev_always(child, iv, cfg, sign, None)
         if isinstance(iv, SmoothInterval):
-            w = smooth_weights
-            if w is None:
-                w = smooth_weights_var(iv.a, iv.b, iv.c, iv.eps, length)
             padded = _then_padding(child, _padding(child, length - 1, cfg))
-            return ev_always(padded, iv, cfg, sign, w)
+            return ev_always(padded, iv, cfg, sign, smooth_weights_var(iv, length))
         fits = max(length - iv.b, 0)
         fit = ev_always(child, iv, cfg, sign, None) if fits else None
         return _then_padding(fit, _padding(child, length - fits, cfg))
     if isinstance(f, Until):
         left, right, iv = rec(f.left), rec(f.right), f.interval
-        if iv is None or isinstance(iv, SmoothInterval):
+        if iv is None:
             return until(left, right, iv, cfg)
         fits = max(length - iv.b, 0)
         fit = until(left, right, iv, cfg) if fits else None
@@ -238,16 +232,15 @@ def walk(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig
     raise TypeError(f"not a Formula node: {f!r}")
 
 
-def trace_var(f: Formula, channels: dict[str, Var], length: int, cfg: SemanticsConfig,
-              smooth_weights=None) -> Var | np.ndarray:
+def trace_var(f: Formula, channels: dict[str, Var], length: int,
+              cfg: SemanticsConfig) -> Var | np.ndarray:
     """Masked robustness trace on the tape; shape ``(..., length)``.  A trace
     that reaches no :class:`Var` is a plain array.
 
-    ``channels`` may carry leading batch axes.  ``smooth_weights``, when
-    given, are the window weights of every smooth-interval node in ``f``,
-    for example :func:`smooth_weights_var` of taped bounds.
+    ``channels`` may carry leading batch axes.  Smooth-interval bounds that
+    are :class:`Var` carry the gradient to the interval.
     """
-    return walk(f, channels, length, cfg, _ev_always_var, _until_var, smooth_weights)
+    return walk(f, channels, length, cfg, _ev_always_var, _until_var)
 
 
 def _checked_channels(f: Formula, signals: NamedSignals) -> dict[str, np.ndarray]:

@@ -8,16 +8,23 @@ import numpy as np
 
 from stlmask import tape
 from stlmask.core import (
+    Hard,
+    LogSumExp,
     NamedSignals,
     PaddingPolicy,
     SemanticsConfig,
     ShapeError,
+    SmoothInterval,
+    SoftMax,
     StepInterval,
     window_size,
 )
 from stlmask.formula import TRUE, Always, And, Eventually, Not, Or, Pred, Until
 
 CHANNELS = ("x", "y")
+#: hard, and each smooth reduction at a low, a middle and a high temperature
+MODES = (Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
+         SoftMax(0.5), SoftMax(2.0), SoftMax(10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +89,33 @@ def build_until_masks(length: int, iv: StepInterval | None):
     return left, right
 
 
-def random_formula(rng, depth, max_window=6, until_ok=True):
-    """Random AST; leaves are predicates over CHANNELS, plus occasional TRUE."""
+def random_formula(rng, depth, max_window=6, until_ok=True, interval_scale=None):
+    """Random AST; leaves are predicates over CHANNELS, plus occasional TRUE.
+
+    With ``interval_scale`` L, a timed interval starts below L/2 and is
+    narrower than L/4, and ``F``/``G`` sometimes take a smooth interval
+    instead; without it, the draws are those the corpora were built from.
+    """
     ops = ["pred", "true", "not", "and", "or", "F", "G"] + (["U"] if until_ok else [])
     weights = np.array([0.26, 0.04, 0.10, 0.13, 0.13, 0.12, 0.12] + ([0.10] if until_ok else []))
     op = "pred" if depth == 0 and rng.random() > 0.08 else (
         "true" if depth == 0 else rng.choice(ops, p=weights / weights.sum()))
 
-    def interval(L_hint=20):
+    def interval(smooth_ok=True):
         if rng.random() < 0.35:
             return None
-        a = int(rng.integers(0, L_hint + 2))
-        return StepInterval(a, a + int(rng.integers(0, max_window)))
+        if interval_scale is None:
+            a = int(rng.integers(0, 22))
+            return StepInterval(a, a + int(rng.integers(0, max_window)))
+        if smooth_ok and rng.random() < 0.3:
+            a = float(rng.uniform(0.0, 0.8))
+            return SmoothInterval(a, float(rng.uniform(a + 0.05, 1.0)),
+                                  float(rng.choice([0.5, 4.0, 40.0])))
+        a = int(rng.integers(0, interval_scale // 2))
+        return StepInterval(a, a + int(rng.integers(0, interval_scale // 4)))
+
+    def sub():
+        return random_formula(rng, depth - 1, max_window, until_ok, interval_scale)
 
     if op == "pred":
         return Pred(str(rng.choice(CHANNELS)), str(rng.choice([">", "<", ">=", "<="])),
@@ -101,19 +123,16 @@ def random_formula(rng, depth, max_window=6, until_ok=True):
     if op == "true":
         return TRUE
     if op == "not":
-        return Not(random_formula(rng, depth - 1, max_window, until_ok))
+        return Not(sub())
     if op == "and":
-        return And(random_formula(rng, depth - 1, max_window, until_ok),
-                   random_formula(rng, depth - 1, max_window, until_ok))
+        return And(sub(), sub())
     if op == "or":
-        return Or(random_formula(rng, depth - 1, max_window, until_ok),
-                  random_formula(rng, depth - 1, max_window, until_ok))
+        return Or(sub(), sub())
     if op == "F":
-        return Eventually(random_formula(rng, depth - 1, max_window, until_ok), interval())
+        return Eventually(sub(), interval())
     if op == "G":
-        return Always(random_formula(rng, depth - 1, max_window, until_ok), interval())
-    return Until(random_formula(rng, depth - 1, max_window, until_ok),
-                 random_formula(rng, depth - 1, max_window, until_ok), interval())
+        return Always(sub(), interval())
+    return Until(sub(), sub(), interval(smooth_ok=False))
 
 
 def random_signals(rng, max_len=40) -> NamedSignals:
@@ -138,6 +157,32 @@ def equivalence_case(rng, depth=3, max_len=40):
     signals = random_signals(rng, max_len)
     f = random_formula(rng, int(rng.integers(1, depth + 1)))
     return f, signals
+
+
+def temporal_nodes(f):
+    """The ``F``, ``G`` and ``U`` nodes of ``f``, outermost first."""
+    own = [f] if isinstance(f, (Eventually, Always, Until)) else []
+    return own + [g for child in f.children() for g in temporal_nodes(child)]
+
+
+def long_cases():
+    """28 ``(formula, signals, cfg, cotangent)`` at 200 to 400 samples: depth-2
+    random formulas with at least one temporal operator and intervals scaled
+    to the signal length.  Case ``k`` runs in ``MODES[k % 7]``, with
+    last-value padding in the first half of every 14 cases and constant
+    padding in the second."""
+    rng = np.random.default_rng(15)
+    out = []
+    for k in range(28):
+        length = int(rng.integers(200, 401))
+        f = TRUE
+        while not temporal_nodes(f):
+            f = random_formula(rng, 2, interval_scale=length)
+        signals = NamedSignals.from_arrays({name: rng.normal(0, 2, length) for name in CHANNELS})
+        padding = PaddingPolicy.last_value() if k % 14 < 7 else PaddingPolicy.constant(0.75)
+        cfg = SemanticsConfig(mode=MODES[k % 7], padding=padding, top_value=100.0)
+        out.append((f, signals, cfg, rng.normal(0, 1, length)))
+    return out
 
 
 def vars_built(fn, *args):

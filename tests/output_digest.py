@@ -5,12 +5,15 @@ Run it on two checkouts and compare the printed lines::
 
     PYTHONPATH=src python tests/output_digest.py
 
-Six sets of results are hashed:
+Seven sets of results are hashed:
 
 * masked: traces and channel gradients (with a random cotangent) of 300
   random formulas on random signals, in Hard, LogSumExp (tau = 0.5, 10, 500)
   and SoftMax (tau = 0.5, 2, 10) semantics, with random padding;
 * recurrent: the same for the recurrent engine on the first 60 cases;
+* long: the masked traces and channel gradients of ``helpers.long_cases``,
+  28 random formulas at 200 to 400 samples with windows scaled to the
+  signal, smooth intervals among them, in every mode and padding;
 * values: the entry points that build no graph: ``robustness_trace`` on the
   300 cases and ``trace_recurrent`` on the first 60, in the same modes, and
   ``planning_objective`` and ``mining_objective`` on a small grid of
@@ -35,7 +38,7 @@ import hashlib
 
 import numpy as np
 
-from helpers import random_formula, random_signals
+from helpers import MODES, long_cases, random_formula, random_signals
 from stlmask import apps, autodiff, masking, recurrent, tape
 from stlmask.core import (Hard, LogSumExp, NamedSignals, PaddingPolicy, SemanticsConfig,
                           SmoothInterval, SoftMax, StepInterval, StlError)
@@ -43,8 +46,6 @@ from stlmask.formula import Always, And, Eventually, Pred
 from stlmask.recurrent import trace_recurrent
 from stlmask.tape import Var
 
-MODES = (Hard(), LogSumExp(0.5), LogSumExp(10.0), LogSumExp(500.0),
-         SoftMax(0.5), SoftMax(2.0), SoftMax(10.0))
 CASES = 300
 RECURRENT_CASES = 60
 DESCENT_STEPS = 1000
@@ -89,22 +90,26 @@ def cases():
 
 
 def engine_digest(trace_var, selected) -> str:
+    return traced_digest(trace_var, [(f, signals, SemanticsConfig(mode=mode, padding=pad), cotangent)
+                                     for f, signals, pad, cotangent in selected for mode in MODES])
+
+
+def traced_digest(trace_var, selected) -> str:
+    """Traces and channel gradients of ``(formula, signals, cfg, cotangent)`` cases."""
     digest = Digest()
-    for f, signals, pad, cotangent in selected:
-        for mode in MODES:
-            channels = {name: Var(signals[name].values) for name in signals.names()}
-            try:
-                # a trace that reads no channel is an array; backward needs a node
-                out = tape.as_var(trace_var(f, channels, signals.length,
-                                            SemanticsConfig(mode=mode, padding=pad)))
-                tape.backward(out, cotangent)
-            except StlError as exc:
-                digest.add(type(exc).__name__)
-                continue
-            digest.add(out.data)
-            for name in sorted(channels):
-                grad = channels[name].grad
-                digest.add("none" if grad is None else grad)
+    for f, signals, cfg, cotangent in selected:
+        channels = {name: Var(signals[name].values) for name in signals.names()}
+        try:
+            # a trace that reads no channel is an array; backward needs a node
+            out = tape.as_var(trace_var(f, channels, signals.length, cfg))
+            tape.backward(out, cotangent)
+        except StlError as exc:
+            digest.add(type(exc).__name__)
+            continue
+        digest.add(out.data)
+        for name in sorted(channels):
+            grad = channels[name].grad
+            digest.add("none" if grad is None else grad)
     return digest.hex()
 
 
@@ -192,6 +197,7 @@ def main():
     selected = cases()
     print("masked   ", engine_digest(masking.trace_var, selected))
     print("recurrent", engine_digest(recurrent.trace_var_recurrent, selected[:RECURRENT_CASES]))
+    print("long     ", traced_digest(masking.trace_var, long_cases()))
     print("trace ops", trace_ops_digest(selected))
     print("smooth   ", smooth_digest())
     print("values   ", values_digest(selected))

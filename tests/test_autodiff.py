@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,9 +162,32 @@ class TestBindings:
     def test_binding_overrides_all_nodes(self):
         f = And(Always(Pred("s", ">", 0.0), SmoothInterval(0.1, 0.5, 4.0)),
                 Eventually(Pred("s", ">", 0.0), SmoothInterval(0.2, 0.9, 4.0)))
-        sig = signals_from({"s": np.ones(8)})
-        out = value_and_grad(f, sig, LSE5, si=SmoothInterval(0.3, 0.7, 6.0))
+        sig = signals_from({"s": np.random.default_rng(54).normal(0, 1, 8)})
+        si = SmoothInterval(0.3, 0.7, 6.0)
+        out = value_and_grad(f, sig, LSE5, si=si)
         assert isinstance(out, Gradients)
+        # both nodes read the bound leaves: each derivative sums both paths
+        for name, got in (("a", out.d_a), ("b", out.d_b), ("c", out.d_c)):
+            def probe(v, _name=name):
+                bound = replace(si, **{_name: float(v[0])})
+                return value_and_grad(f, sig, LSE5, si=bound).value
+            assert finite_diff_check(probe, [getattr(si, name)], [got]) < 1e-6
+
+    def test_taped_bounds_in_the_formula_match_the_binding(self):
+        from stlmask.masking import trace_var
+        from stlmask.tape import Var, backward, index_last
+
+        rng = np.random.default_rng(55)
+        sig = signals_from({"s": rng.normal(0, 1, 12)})
+        si = SmoothInterval(0.2, 0.65, 7.0)
+        want = value_and_grad(Eventually(Pred("s", "<", 0.3), si), sig, LSE5)
+        taped = SmoothInterval(Var(si.a), Var(si.b), Var(si.c))
+        f = Eventually(Pred("s", "<", 0.3), taped)
+        value = index_last(trace_var(f, {"s": Var(sig["s"].values)}, 12, LSE5), 0)
+        backward(value)
+        assert float(value.data) == want.value
+        assert (float(taped.a.grad), float(taped.b.grad), float(taped.c.grad)) == \
+            (want.d_a, want.d_b, want.d_c)
 
     def test_unused_channel_gets_zero_gradient(self):
         sig = signals_from({"s": [1.0, 2.0], "unused": [5.0, 5.0]})

@@ -131,6 +131,19 @@ class TestIntervals:
         with pytest.raises(InvalidIntervalError):
             SmoothInterval(0.2, 0.8, 1.0, eps=0.7)
 
+    def test_taped_smooth_bounds_are_checked_by_value(self):
+        from stlmask.tape import Var
+
+        SmoothInterval(Var(0.2), Var(0.8), Var(5.0))
+        # 0-d arrays, as the planner's bounds are when nothing is taped
+        SmoothInterval(np.array(0.2), np.array(0.8), 5.0)
+        with pytest.raises(InvalidIntervalError):
+            SmoothInterval(Var(0.7), Var(0.2))
+        with pytest.raises(InvalidIntervalError):
+            SmoothInterval(Var(0.2), Var(1.5))
+        with pytest.raises(InvalidIntervalError):
+            SmoothInterval(0.2, 0.8, Var(-1.0))
+
 
 class TestConfig:
     def test_padding_validation(self):

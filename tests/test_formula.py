@@ -181,6 +181,17 @@ class TestChildren:
         # everything but the children is kept, e.g. the interval
         assert swapped.replace_children(*kids) == node
 
+    @pytest.mark.parametrize("bad", [(0, 2), "abc", 3, [StepInterval(0, 2)]], ids=repr)
+    def test_temporal_nodes_reject_what_is_not_an_interval(self, bad):
+        for make in (lambda iv: Eventually(P, iv), lambda iv: Always(P, iv),
+                     lambda iv: Until(P, Q, iv)):
+            with pytest.raises(InvalidIntervalError):
+                make(bad)
+
+    def test_until_rejects_a_smooth_interval(self):
+        with pytest.raises(TypeError):
+            Until(P, Q, SmoothInterval(0.2, 0.6, 8.0))
+
     def test_arity(self):
         assert [len(n.children()) for n in EVERY_NODE] == [0, 0, 1, 2, 2, 1, 1, 2, 2]
         with pytest.raises(ValueError):

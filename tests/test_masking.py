@@ -24,6 +24,7 @@ from stlmask.bench import bench_formulas
 from stlmask.core import (
     EmptyWindowError,
     Hard,
+    InvalidIntervalError,
     LogSumExp,
     NamedSignals,
     PaddingPolicy,
@@ -249,6 +250,14 @@ class TestTraceArguments:
             for shape in ((2, 3), (1, 1, 4)):
                 with pytest.raises(ShapeError):
                     op(np.ones(shape), StepInterval(0, 1), LAST)
+
+    def test_interval_that_is_not_an_interval_rejected(self):
+        # a tuple is not read as [a, b]: it fails before any kernel runs
+        for op in (eventually_trace, always_trace):
+            with pytest.raises(InvalidIntervalError):
+                op([1.0, 2.0, 3.0], (0, 2), LAST)
+        with pytest.raises(InvalidIntervalError):
+            until_trace([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], (0, 2), LAST)
 
     def test_scalar_is_one_sample(self):
         for op in (eventually_trace, always_trace):

@@ -156,7 +156,7 @@ class TestTimeMask:
         # weights below the float64 range are rounded to zero by either form
         shown = ref > 1e-300
         for w in (smooth_mask_weights(si, length),
-                  smooth_weights_var(si.a, si.b, si.c, si.eps, length)):
+                  smooth_weights_var(si, length)):
             rel = (np.abs(w - ref)[shown] / ref[shown]).astype(np.float64)
             # as sigma(x) - sigma(y) everywhere, far-window weights lost 5e-6
             # of their value or all of it
@@ -184,7 +184,7 @@ class TestTimeMask:
                     if (ka + kb) * length % 200:
                         continue
                     si = SmoothInterval(ka / 100, kb / 100, 8.0)
-                    w = smooth_weights_var(si.a, si.b, si.c, si.eps, length)
+                    w = smooth_weights_var(si, length)
                     assert type(w) is np.ndarray
                     assert np.array_equal(w, smooth_time_mask(np.arange(length), si, length)), (si, length)
                     checked += 1
