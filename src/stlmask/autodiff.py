@@ -72,7 +72,9 @@ def value_and_grad(f: Formula, signals: NamedSignals,
         si = sis[0]
 
     if si is not None:
-        si = replace(si, a=Var(si.a), b=Var(si.b), c=Var(si.c))
+        # fresh leaves from the bounds' values, also where they are taped
+        a, b, c = (Var(v.data if isinstance(v, Var) else v) for v in (si.a, si.b, si.c))
+        si = replace(si, a=a, b=b, c=c)
         f = _bind(f, si)
     out = masking.trace_var(f, channels, signals.length, cfg)
     # a start that reaches no leaf is a plain array; backward needs a node

@@ -1,12 +1,18 @@
 """Simultaneous robustness-trace computation via masked window reductions.
 
-Every trace entry is computed at once: the child trace is gathered so that
-row ``t`` holds the window of the subsignal starting at ``t``, and a single
-min/max (or smooth) reduction collapses each row.  Timed until gathers the
-left and right windows of every start index at once, takes the left prefix
-mins across window offsets, pairs each with the right value at that offset,
-and max-reduces across offsets.  Untimed until gathers the ``(L, L)``
-square of windows in softmax mode only (clipped at the signal end):
+Every trace entry is computed at once.  Timed eventually/always in hard and
+log-sum-exp mode use binary lifting: spans of 1, 2, 4, ... samples, each
+one ``tape.pair_smooth_max``/``pair_smooth_min`` of two shifted halves, are
+combined over the set bits of the window width, so the cost is O(L log w)
+and no ``(L, w)`` window array exists.  In softmax mode, whose pairwise
+average is not associative, and over smooth intervals the child trace is
+gathered so that row ``t`` holds the window of the subsignal starting at
+``t``, and a single smooth reduction collapses each row.  Timed until
+gathers the left and right windows of every start index at once, takes the
+left prefix mins across window offsets, pairs each with the right value at
+that offset, and max-reduces across offsets.  Untimed until gathers the
+``(L, L)`` square of windows in softmax mode only (clipped at the signal
+end):
 
 * in hard mode it is one ``tape.hard_until`` node, a log-depth scan of the
   clamps ``u -> min(l_t, max(r_t, u))`` in O(L) memory with exact values;
@@ -21,11 +27,12 @@ they pass in.  Boolean connectives and until's pairings are one
 ``tape.pair_smooth_min``/``pair_smooth_max`` node each.
 
 Windows are reduced over their kept entries only.  The implementation
-gathers them with ``tape.take_last`` instead of materializing mask products;
-the tests check it against reductions over the materialized masks built in
-``tests/helpers.py``.  Running reductions are one ``tape.cum_reduce`` node in
-every mode (a scan, exact for hard, equal by associativity for log-sum-exp,
-and a convex recurrence of the window's own softmax average for softmax):
+lifts or gathers them (``tape.take_last``) instead of materializing mask
+products; the tests check it against reductions over the materialized masks
+built in ``tests/helpers.py``.  Running reductions are one
+``tape.cum_reduce`` node in every mode (a scan, exact for hard, equal by
+associativity for log-sum-exp, and a convex recurrence of the window's own
+softmax average for softmax):
 
 * untimed eventually/always are suffix scans of the child trace,
 * until's left prefix mins are one prefix scan along the gathered window
@@ -61,6 +68,7 @@ from .core import (
     SemanticsConfig,
     ShapeError,
     SmoothInterval,
+    SoftMax,
     StepInterval,
     ValidationError,
 )
@@ -116,16 +124,42 @@ def _reduce(x, sign: float, cfg: SemanticsConfig, weights=None) -> Var | np.ndar
 
 
 def _ev_always_var(child, iv, cfg: SemanticsConfig, sign: float, weights) -> Var | np.ndarray:
-    """``F`` (``sign`` +1) or ``G`` (-1): one reduction of every window that
-    fits in ``child``, or a suffix scan when untimed."""
+    """``F`` (``sign`` +1) or ``G`` (-1) over every window that fits in
+    ``child``: a suffix scan when untimed, binary lifting over a timed
+    window in hard and log-sum-exp mode, else one reduction of the gathered
+    windows."""
     if iv is None:
         return tape.cum_reduce(child, cfg.mode, sign, reverse=True)
     if isinstance(iv, SmoothInterval):
         offsets = np.arange(weights.shape[-1])
-    else:
+    elif isinstance(cfg.mode, SoftMax):
         offsets = np.arange(iv.a, iv.b + 1)
+    else:
+        return _lifted_windows(child, iv.a, iv.b - iv.a + 1, cfg.mode, sign)
     starts = np.arange(child.shape[-1] - offsets[-1])
     return _reduce(tape.take_last(child, starts[:, None] + offsets), sign, cfg, weights)
+
+
+def _lifted_windows(child, a: int, width: int, mode, sign: float) -> Var | np.ndarray:
+    """The windows ``[t + a, t + a + width)`` of every start that fits, by
+    binary lifting: ``span[t]`` reduces ``child[t : t + k]`` for k = 1, 2,
+    4, ..., each span one pair node of two halves, and the spans of the set
+    bits of ``width`` are paired left to right from offset ``a`` without
+    overlap (log-sum-exp is associative but not idempotent).  Pair ties go
+    to the first, earlier operand, so hard values and subgradients are
+    those of one reduction over the window."""
+    pair = tape.pair_smooth_max if sign > 0 else tape.pair_smooth_min
+    starts = child.shape[-1] - a - width + 1
+    span, k, lo, out = child, 1, a, None
+    while True:
+        if width & k:
+            piece = tape.index_last(span, slice(lo, lo + starts))
+            out = piece if out is None else pair(out, piece, mode)
+            lo += k
+        if 2 * k > width:
+            return out
+        span = pair(tape.index_last(span, slice(None, -k)), tape.index_last(span, slice(k, None)), mode)
+        k *= 2
 
 
 def _gathered_until(left, right, idx: np.ndarray, a: int, mode, weights=None) -> Var | np.ndarray:
@@ -251,11 +285,18 @@ def _checked_channels(f: Formula, signals: NamedSignals) -> dict[str, np.ndarray
     return {name: signals[name].values for name in signals.names()}
 
 
+def _evaluate(f: Formula, arrays: dict[str, np.ndarray], length: int,
+              cfg: SemanticsConfig) -> np.ndarray:
+    """The float64 trace of ``f`` on channel arrays; smooth-interval bounds
+    that are :class:`Var` count by their values."""
+    out = walk(f, arrays, length, cfg, _ev_always_var, _until_var)
+    return np.array(out.data if isinstance(out, Var) else out, copy=True)
+
+
 def robustness_trace(f: Formula, signals: NamedSignals,
                      cfg: SemanticsConfig = SemanticsConfig()) -> np.ndarray:
     """Robustness of every suffix subsignal, computed by masked reductions."""
-    out = walk(f, _checked_channels(f, signals), signals.length, cfg, _ev_always_var, _until_var)
-    return np.array(out, copy=True)
+    return _evaluate(f, _checked_channels(f, signals), signals.length, cfg)
 
 
 def robustness(f: Formula, signals: NamedSignals,
@@ -285,7 +326,7 @@ def _trace_op(node, iv, cfg: SemanticsConfig, **traces) -> np.ndarray:
     if len(set(sizes)) > 1:
         raise ShapeError(f"trace lengths differ: {' vs '.join(map(str, sizes))}")
     f = node(*(Pred(name, ">", 0.0) for name in arrays), iv)
-    return np.array(walk(f, arrays, sizes[0], cfg, _ev_always_var, _until_var), copy=True)
+    return _evaluate(f, arrays, sizes[0], cfg)
 
 
 def eventually_trace(inner, iv: StepInterval | SmoothInterval | None,

@@ -13,8 +13,9 @@ In hard mode and log-sum-exp mode the results equal the reference semantics
 mode the nested reductions are *not* equivalent to one flat application:
 values entering the recurrence earlier (later in time) get softened on every
 subsequent step, so untimed softmax traces intentionally drift away from the
-masked engine.  New elements always enter a pairwise reduction as the later
-operand.
+masked engine, and so does timed until, whose prefix mins nest pairwise.
+Timed eventually and always reduce each window once and agree.  New elements
+always enter a pairwise reduction as the later operand.
 
 Predicates, boolean connectives and the padding of starts whose window
 overruns the end come from the shared formula walker,

@@ -22,7 +22,11 @@ as factors (``_factors_vjp``).  Each window max/min (``_window_reduce``),
 each running max/min along the last axis (``cum_reduce``, a prefix or
 suffix scan) and each elementwise two-operand max/min (``_pair_reduce``) is
 a single tape node in all three modes, built by one implementation per
-shape that takes the mode, and the direction as a sign.  The running
+shape that takes the mode, and the direction as a sign.  A pair node's
+forward computes its value only (``np.maximum``, ``np.logaddexp`` or the
+weighted average) and keeps its operands; its vjp rebuilds the tie mask or
+the weights from them and the value, so a value-only graph builds no
+factors and a node keeps no factor arrays alive.  The running
 softmax average is a convex recurrence weighted from the log-sum-exp
 running scan; it and both smooth scans' vjps are doubling scans of linear
 recurrences (``_linear_scan``), so no scan loops over the length in Python.
@@ -320,7 +324,8 @@ def _index_vjp(g, a, i):
     _accum(a, acc)
 
 
-def index_last(a, i: int) -> Var:
+def index_last(a, i: int | slice) -> Var:
+    """Entry ``i`` of the last axis, or the entries of a slice ``i``."""
     return _node(_array(a)[..., i], _index_vjp, a, i)
 
 
@@ -427,28 +432,46 @@ def _pair_reduce(a, b, mode: Mode, sign: float) -> Var:
     is ``logaddexp(st * a, st * b) / st`` with d/da = ``exp(st * (a - out))``,
     and softmax averages the operands with weights ``exp(st * (x - m))``,
     ``m`` their max (sign +1) or min (sign -1), with
-    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.
+    d/da = ``ea / (ea + eb) * (1 + st * (a - out))``.  The forward computes
+    the value only; :func:`_pair_vjp` rebuilds the factors from the operands
+    and the value when a gradient is asked for.
     """
     x, y = _array(a), _array(b)
     if isinstance(mode, Hard):
-        first = x >= y if sign > 0 else x <= y
-        return _node(np.where(first, x, y), _factors_vjp, a, (first,), b, (~first,))
-    if isinstance(mode, LogSumExp):
+        data = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
+    elif isinstance(mode, LogSumExp):
         st = sign * mode.temp
         data = np.logaddexp(st * x, st * y) / st
-        wa = np.exp(st * (x - data))
-        wb = np.exp(st * (y - data))
-        return _node(data, _factors_vjp, a, (wa,), b, (wb,))
-    if isinstance(mode, SoftMax):
-        st = sign * mode.temp
-        m = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
-        ea = np.exp(st * (x - m))
-        eb = np.exp(st * (y - m))
-        den = ea + eb
+    elif isinstance(mode, SoftMax):
+        ea, eb, den = _softmax_pair_weights(x, y, sign * mode.temp, sign)
         data = (x * ea + y * eb) / den
-        return _node(data, _factors_vjp, a, (ea / den, 1.0 + st * (x - data)),
-                     b, (eb / den, 1.0 + st * (y - data)))
-    raise TypeError(f"unsupported mode: {mode!r}")
+    else:
+        raise TypeError(f"unsupported mode: {mode!r}")
+    return _node(data, _pair_vjp, a, b, x, y, mode, sign, data)
+
+
+def _softmax_pair_weights(x, y, st, sign):
+    """``exp(st * (x - m))``, ``exp(st * (y - m))`` and their sum."""
+    m = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
+    ea = np.exp(st * (x - m))
+    eb = np.exp(st * (y - m))
+    return ea, eb, ea + eb
+
+
+def _pair_vjp(g, a, b, x, y, mode, sign, out):
+    """Rebuilds the factors of :func:`_pair_reduce` from the operand arrays
+    ``x``, ``y`` and ``out`` with the same arithmetic, and sends ``g`` times
+    them on."""
+    if isinstance(mode, Hard):
+        first = x >= y if sign > 0 else x <= y
+        _factors_vjp(g, a, (first,), b, (~first,))
+        return
+    st = sign * mode.temp
+    if isinstance(mode, LogSumExp):
+        _factors_vjp(g, a, (np.exp(st * (x - out)),), b, (np.exp(st * (y - out)),))
+        return
+    ea, eb, den = _softmax_pair_weights(x, y, st, sign)
+    _factors_vjp(g, a, (ea / den, 1.0 + st * (x - out)), b, (eb / den, 1.0 + st * (y - out)))
 
 
 def pair_smooth_max(a, b, mode: Mode) -> Var:

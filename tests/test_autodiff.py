@@ -6,11 +6,13 @@ import pytest
 from helpers import random_formula, random_signals
 from stlmask.autodiff import Gradients, finite_diff_check, value_and_grad
 from stlmask.core import (
+    Hard,
     LogSumExp,
     NamedSignals,
     PaddingPolicy,
     SemanticsConfig,
     SmoothInterval,
+    SoftMax,
 )
 from stlmask.formula import Always, And, Eventually, Not, Pred, parse
 
@@ -188,6 +190,21 @@ class TestBindings:
         assert float(value.data) == want.value
         assert (float(taped.a.grad), float(taped.b.grad), float(taped.c.grad)) == \
             (want.d_a, want.d_b, want.d_c)
+
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(5.0), SoftMax(2.0)])
+    def test_taped_bounds_in_the_formula_bind_by_value(self, mode):
+        from stlmask.tape import Var
+
+        sig = signals_from({"s": np.random.default_rng(56).normal(0, 1, 12)})
+        cfg = SemanticsConfig(mode=mode)
+        si = SmoothInterval(0.2, 0.65, 7.0)
+        want = value_and_grad(Always(Pred("s", "<", 0.3), si), sig, cfg)
+        taped = SmoothInterval(Var(si.a), Var(si.b), Var(si.c))
+        got = value_and_grad(Always(Pred("s", "<", 0.3), taped), sig, cfg)
+        assert (got.value, got.d_a, got.d_b, got.d_c) == (want.value, want.d_a, want.d_b, want.d_c)
+        assert np.array_equal(got.d_signal["s"], want.d_signal["s"])
+        # the bounds were read by value into fresh leaves
+        assert taped.a.grad is None and taped.b.grad is None and taped.c.grad is None
 
     def test_unused_channel_gets_zero_gradient(self):
         sig = signals_from({"s": [1.0, 2.0], "unused": [5.0, 5.0]})

@@ -19,7 +19,7 @@ from helpers import (
     random_formula,
     random_signals,
 )
-from stlmask import masking
+from stlmask import masking, tape
 from stlmask.bench import bench_formulas
 from stlmask.core import (
     EmptyWindowError,
@@ -171,6 +171,121 @@ class TestEventuallyAlways:
                 else:
                     expect[t] = smooth_max(unrolled[mask[:, t], t], mode)
             np.testing.assert_allclose(got, expect, atol=1e-12)
+
+
+def gathered_ev_always(child, iv, cfg, sign, weights):
+    """The timed ``F``/``G`` kernel before binary lifting: one reduction of
+    the gathered ``(L - b, b - a + 1)`` windows."""
+    if not isinstance(iv, StepInterval):
+        return masking._ev_always_var(child, iv, cfg, sign, weights)
+    starts = np.arange(child.shape[-1] - iv.b)
+    windows = tape.take_last(child, starts[:, None] + np.arange(iv.a, iv.b + 1))
+    return masking._reduce(windows, sign, cfg)
+
+
+def lse_long_double(x, a, b, tau, sign):
+    """``sign * logsumexp(sign * tau * window) / tau`` of every window that
+    fits, summed in long double."""
+    xs = np.asarray(x, dtype=np.longdouble) * (sign * tau)
+    starts = x.shape[-1] - b
+    windows = np.stack([xs[..., t + a:t + b + 1] for t in range(starts)], axis=-2)
+    m = windows.max(axis=-1, keepdims=True)
+    return sign * (np.log(np.exp(windows - m).sum(axis=-1)) + m[..., 0]) / tau
+
+
+class TestLiftedWindows:
+    """Timed ``F``/``G`` by binary lifting in hard and log-sum-exp mode,
+    against the gathered reduction it replaced, the materialized masks and a
+    long-double log-sum-exp."""
+
+    PADDINGS = (PaddingPolicy.last_value(), PaddingPolicy.constant(0.75))
+
+    @staticmethod
+    def signal(rng, length, ties):
+        if ties:
+            return rng.integers(0, 3, (2, length)) * 0.5
+        return rng.normal(0, 1, (2, length))
+
+    @staticmethod
+    def traced(kernel, f, x0, cfg, cotangent):
+        x = Var(x0)
+        out = walk(f, {"x": x}, x0.shape[-1], cfg, kernel, masking._until_var)
+        backward(out, cotangent)
+        return out.data, x.grad
+
+    @pytest.mark.parametrize("a", [0, 3, 100])
+    @pytest.mark.parametrize("width", [1, 2, 3, 6, 7, 8, 201, 801])
+    def test_matches_gather_masks_and_long_double(self, width, a):
+        rng = np.random.default_rng(width * 1000 + a)
+        iv = StepInterval(a, a + width - 1)
+        fits = 41  # windows that fit; the other starts take the padding
+        length = iv.b + fits
+        for ties in (False, True):
+            x0 = self.signal(rng, length, ties)
+            cotangent = rng.normal(0, 1, x0.shape)
+            for node, sign in ((Eventually, 1.0), (Always, -1.0)):
+                f = node(Pred("x", ">", 0.0), iv)
+                for pad in self.PADDINGS:
+                    for mode in (Hard(), LogSumExp(0.5), LogSumExp(10.0)):
+                        cfg = SemanticsConfig(mode=mode, padding=pad)
+                        value, grad = self.traced(masking._ev_always_var, f, x0, cfg, cotangent)
+                        old_value, old_grad = self.traced(gathered_ev_always, f, x0, cfg, cotangent)
+                        assert np.array_equal(value[..., fits:], old_value[..., fits:])
+                        if isinstance(mode, Hard):
+                            assert np.array_equal(value, old_value)
+                            # the same entries, summed in another order
+                            assert np.array_equal(grad != 0, old_grad != 0)
+                            np.testing.assert_allclose(grad, old_grad, rtol=0, atol=1e-13)
+                            self.check_masks(x0[0], iv, pad, sign, value[0])
+                        else:
+                            exact = lse_long_double(x0, iv.a, iv.b, mode.temp, sign)
+                            scale = np.max(np.abs(exact))
+                            assert np.max(np.abs(value[..., :fits] - exact)) <= 1e-12 * scale
+                            np.testing.assert_allclose(grad, old_grad, rtol=0,
+                                                       atol=1e-12 * np.max(np.abs(old_grad)))
+
+    @staticmethod
+    def check_masks(x, iv, pad, sign, value):
+        """Hard values equal the reductions over the materialized masks."""
+        length = x.size
+        rows = length + iv.b
+        mask = combine_masks(build_subsignal_mask(length, rows), build_time_mask(length, iv))
+        unrolled = build_unrolled(x, rows, pad)
+        pad_value = x[-1] if pad.kind == "last" else pad.value
+        reduce = np.max if sign > 0 else np.min
+        expect = [reduce(unrolled[mask[:, t], t]) if t + iv.b < length else pad_value
+                  for t in range(length)]
+        assert np.array_equal(value, expect)
+
+    def test_hard_ties_route_to_the_first_extremal_entry(self):
+        x = Var(np.array([1.0, 2.0, 2.0, 0.0, 2.0, 1.0, 1.0, 0.0]))
+        out = trace_var(Eventually(Pred("x", ">", 0.0), StepInterval(0, 6)), {"x": x}, 8, LAST)
+        backward(out, np.array([1.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        # windows [0, 6] and [1, 7] both peak first at entry 1
+        np.testing.assert_array_equal(x.grad, [0.0, 11.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_softmax_keeps_the_gathered_reduction(self):
+        rng = np.random.default_rng(41)
+        x0 = rng.normal(0, 1, (2, 30))
+        f = Always(Pred("x", ">", 0.0), StepInterval(2, 9))
+        cfg = SemanticsConfig(mode=SoftMax(2.0))
+        cotangent = rng.normal(0, 1, x0.shape)
+        got = self.traced(masking._ev_always_var, f, x0, cfg, cotangent)
+        want = self.traced(gathered_ev_always, f, x0, cfg, cotangent)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    def test_wide_window_value_memory_does_not_grow_with_the_width(self):
+        # the gathered (8, 7392, 801) windows alone were 379 MB
+        x = np.random.default_rng(42).normal(0, 1, (8, 8192))
+        tracemalloc.start()
+        try:
+            walk(Always(Pred("x", ">", 0.0), StepInterval(0, 800)), {"x": x}, 8192,
+                 LAST, masking._ev_always_var, masking._until_var)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestUntil:
@@ -461,6 +576,21 @@ class TestRobustnessTrace:
             assert np.all(soft <= hard_max_tr + 1e-9)
             assert np.all(soft >= hard_min_tr - 1e-9)
 
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(5.0), SoftMax(2.0)])
+    def test_taped_smooth_bounds_evaluate_by_value(self, mode):
+        sig = NamedSignals.from_arrays({"s": np.random.default_rng(6).normal(0, 1, 10)})
+        cfg = SemanticsConfig(mode=mode)
+        plain = SmoothInterval(0.2, 0.6, 4.0)
+        taped = SmoothInterval(Var(0.2), Var(0.6), Var(4.0))
+        f, g = (Always(Pred("s", ">", 0.0), si) for si in (plain, taped))
+        got = robustness_trace(g, sig, cfg)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, robustness_trace(f, sig, cfg))
+        assert robustness(g, sig, cfg) == robustness(f, sig, cfg)
+        x = sig["s"].values
+        for op in (eventually_trace, always_trace):
+            assert np.array_equal(op(x, taped, cfg), op(x, plain, cfg))
+
     def test_smooth_interval_matches_reference(self):
         rng = np.random.default_rng(45)
         for _ in range(15):
@@ -487,7 +617,7 @@ class TestRobustnessTrace:
 
     @pytest.mark.parametrize("mode", [Hard(), LogSumExp(5.0), SoftMax(2.0)])
     @pytest.mark.parametrize("text", ["(x > 0) U (y > 0)", "(x > 0) U[2,4] (y > 0)",
-                                      "F G (x > 0)"])
+                                      "F G (x > 0)", "G[1,6] (x > 0)"])
     def test_graph_is_freed_by_reference_counting(self, text, mode):
         # a node reachable from its own vjp would keep the whole graph
         # alive until the cycle collector runs

@@ -257,13 +257,23 @@ class TestSoftmaxPathology:
 
     def test_timed_windows_are_single_application(self):
         # sliding-buffer reductions apply softmax once per window, so the
-        # engines agree on bounded operators even in softmax mode
+        # engines agree on timed F and G even in softmax mode; timed U nests
+        # its prefix mins pairwise, so it drifts (next test)
         rng = np.random.default_rng(44)
         sig = NamedSignals.from_arrays({"s": rng.normal(0, 1, 15)})
         f = parse("F[1,4] (s > 0)")
         cfg = SemanticsConfig(mode=SoftMax(1.0))
         np.testing.assert_allclose(trace_recurrent(f, sig, cfg),
                                    robustness_trace(f, sig, cfg), atol=1e-12)
+
+    def test_timed_until_nests_its_prefix_mins(self):
+        rng = np.random.default_rng(0)
+        sig = NamedSignals.from_arrays({"x": rng.normal(0, 1, 20), "y": rng.normal(0, 1, 20)})
+        f = parse("(x > 0) U[1,6] (y > 0)")
+        cfg = SemanticsConfig(mode=SoftMax(1.0))
+        masked = robustness_trace(f, sig, cfg)
+        np.testing.assert_allclose(masked, trace_ref(f, sig, cfg), atol=1e-12)
+        assert np.max(np.abs(trace_recurrent(f, sig, cfg) - masked)) > 1e-3
 
 
 class TestScaling:

@@ -180,6 +180,11 @@ class TestShapes:
         check_grad(lambda v: tape.vsum(tape.take_last(v, idx) * np.array([1.0, 2.0])),
                    [0.5, 1.5, -0.5])
 
+    def test_index_last_slice_grad(self):
+        weights = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+        check_grad(lambda v: tape.vsum(tape.index_last(v, slice(2, 5)) * weights),
+                   np.random.default_rng(30).normal(0, 1, (2, 7)))
+
     def test_take_last_batched(self):
         x = Var(np.arange(8.0).reshape(2, 4))
         out = tape.take_last(x, np.array([3, 0]))
@@ -418,6 +423,28 @@ def old_pair(a, b, g, mode, sign):
             g * (eb / den) * (1.0 - tau * (b - data)))
 
 
+def eager_pair_reduce(a, b, mode, sign):
+    """The pair node that built its factors in the forward, as it was."""
+    x, y = tape._array(a), tape._array(b)
+    if isinstance(mode, Hard):
+        first = x >= y if sign > 0 else x <= y
+        return tape._node(np.where(first, x, y), tape._factors_vjp, a, (first,), b, (~first,))
+    if isinstance(mode, LogSumExp):
+        st = sign * mode.temp
+        data = np.logaddexp(st * x, st * y) / st
+        wa = np.exp(st * (x - data))
+        wb = np.exp(st * (y - data))
+        return tape._node(data, tape._factors_vjp, a, (wa,), b, (wb,))
+    st = sign * mode.temp
+    m = np.maximum(x, y) if sign > 0 else np.minimum(x, y)
+    ea = np.exp(st * (x - m))
+    eb = np.exp(st * (y - m))
+    den = ea + eb
+    data = (x * ea + y * eb) / den
+    return tape._node(data, tape._factors_vjp, a, (ea / den, 1.0 + st * (x - data)),
+                      b, (eb / den, 1.0 + st * (y - data)))
+
+
 def old_hard_max(a, weights, g):
     """Hard ``smooth_max`` as its own body, in numpy: the first argmax over
     kept entries, and the cotangent put there."""
@@ -472,6 +499,39 @@ class TestPairPrimitiveDifferential:
         assert np.array_equal(out.data, data)
         assert np.array_equal(a.grad, summed_to(ga, a0.shape))
         assert np.array_equal(b.grad, summed_to(gb, b0.shape))
+
+    @pytest.mark.parametrize("mode", PAIR_MODES)
+    @pytest.mark.parametrize("case", ["random", "ties", "batch_vs_row", "row_vs_batch", "constant"])
+    @pytest.mark.parametrize("pair, sign", [(tape.pair_smooth_max, 1.0), (tape.pair_smooth_min, -1.0)])
+    def test_bit_identical_to_eager_factor_body(self, pair, sign, case, mode):
+        # the node computes its value only; the vjp rebuilds the factors
+        rng = np.random.default_rng(19)
+        a0, b0 = self.operands(rng, "random" if case == "constant" else case)
+        g = rng.normal(0, 1, np.broadcast(a0, b0).shape)
+        results = []
+        for build in (lambda a, b: pair(a, b, mode), lambda a, b: eager_pair_reduce(a, b, mode, sign)):
+            a = Var(a0)
+            b = b0 if case == "constant" else Var(b0)
+            out = build(a, b)
+            backward(out, g)
+            results.append((out.data, a.grad, getattr(b, "grad", None)))
+        (data, ga, gb), (old_data, old_ga, old_gb) = results
+        assert np.array_equal(data, old_data)
+        assert np.array_equal(ga, old_ga)
+        assert gb is None if case == "constant" else np.array_equal(gb, old_gb)
+
+    @pytest.mark.parametrize("mode", [Hard(), LogSumExp(3.0), SoftMax(3.0)])
+    def test_node_keeps_only_operands_and_value(self, mode):
+        a, b = Var(np.arange(4.0)), np.ones(4)
+        out = tape.pair_smooth_max(a, b, mode)
+        kept, stack = [], list(out._saved)
+        while stack:
+            v = stack.pop()
+            if isinstance(v, tuple):
+                stack.extend(v)
+            elif isinstance(v, np.ndarray):
+                kept.append(v)
+        assert kept and all(any(v is w for w in (a.data, b, out.data)) for v in kept)
 
     def test_hard_ties_go_to_first_operand(self):
         for pair in (tape.pair_smooth_max, tape.pair_smooth_min):
